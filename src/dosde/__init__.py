@@ -7,9 +7,20 @@ provides the ensemble linear algebra, builtin test models, deterministic
 Brownian paths, full/factored/ambient Euler-Maruyama steppers, a local
 Picard solver, explosion monitoring with rank truncation/restart, and
 diagnostics for every bound the integrators are expected to honor.
+
+DOSDE_THREADS=n pins the BLAS thread pools (OMP/OPENBLAS/MKL, unless
+already set) before any submodule imports numpy; it takes effect when
+dosde is imported before numpy, as the ``dosde`` script and
+``python -m dosde`` do.
 """
 
-from . import (
+import os
+
+if os.environ.get("DOSDE_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, os.environ["DOSDE_THREADS"])
+
+from . import (  # noqa: E402  (the thread variables must be set first)
     cli,
     config,
     diagnostics,

@@ -1,15 +1,11 @@
 """Command-line harness: simulate, compare, picard-demo, lipschitz-harness,
 explosion-study, plus a --self-test invariant suite.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure, 4 self-test
-failure.  All CSV output uses 17 significant digits, so reruns of the
-same config are byte-identical; the wall-time line lives only in
+Exit codes: 0 success, 2 config error, 3 numerical failure (including a
+run that stopped before t_end; its outputs are still written), 4
+self-test failure.  All CSV output uses 17 significant digits, so reruns
+of the same config are byte-identical; the wall-time line lives only in
 manifest.txt.
-
-The DOSDE_THREADS environment variable, when set, is propagated to the
-BLAS thread-count variables before numerical modules load.  Every
-reduction over atoms uses a fixed-shape pairwise tree, so results do not
-depend on the thread count.
 """
 
 import argparse
@@ -26,13 +22,6 @@ from .errors import (
 )
 
 BUILD_ID = "dosde-0.1.0"
-
-
-def _configure_threads():
-    n = os.environ.get("DOSDE_THREADS")
-    if n:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, n)
 
 
 def _fmt(x):
@@ -69,7 +58,6 @@ def _trajectory_rows(traj):
     for state in traj.states:
         t = state.t
         if isinstance(state, DoState):
-            R, d = state.U.shape
             flatU = state.U.ravel()
             for idx in range(flatU.size):
                 rows.append((t, "U", idx, flatU[idx]))
@@ -120,6 +108,19 @@ def _write_manifest(out_dir, cfg, wall_time, command):
         fh.write("wall_time_s = %.3f\n" % wall_time)
 
 
+def _exit_status(t_end, *trajs):
+    """3, with a message, when any run stopped before t_end; 0 otherwise."""
+    for traj in trajs:
+        if not traj.completed:
+            print(
+                "numerical failure: %s run stopped at t=%r before t_end=%r"
+                % (traj.scheme, traj.events[-1].t_event, t_end),
+                file=sys.stderr,
+            )
+            return 3
+    return 0
+
+
 def _run_simulation(cfg):
     from . import paths
     from .integrators import integrate
@@ -158,7 +159,7 @@ def cmd_simulate(cfg, out_dir):
     start = time.perf_counter()
     _, traj, _ = _run_simulation(cfg)
     _write_run_outputs(out_dir, cfg, traj, time.perf_counter() - start, "simulate")
-    return 0
+    return _exit_status(cfg.t_end, traj)
 
 
 def cmd_compare(cfg, out_dir):
@@ -166,7 +167,7 @@ def cmd_compare(cfg, out_dir):
 
     from . import paths
     from .diagnostics import l2_distance
-    from .integrators import DoState, integrate
+    from .integrators import integrate
     from .models import default_initial
 
     start = time.perf_counter()
@@ -176,6 +177,7 @@ def cmd_compare(cfg, out_dir):
     n0 = int(round(cfg.t_end / cfg.dt))
     rows = []
     sup_errors = []
+    trajs = []
     for lvl in range(levels):
         dt_l = cfg.dt / (1 << lvl)
         n_l = n0 << lvl
@@ -187,11 +189,10 @@ def cmd_compare(cfg, out_dir):
         traj_b = integrate(
             model, initial, cfg.compare_scheme_b, cfg.t_end, dt_l, path, R=cfg.rank
         )
+        trajs += [traj_a, traj_b]
         sup = 0.0
         for sa, sb in zip(traj_a.states, traj_b.states):
-            xa = sa.product() if isinstance(sa, DoState) else sa.X
-            xb = sb.product() if isinstance(sb, DoState) else sb.X
-            sup = max(sup, l2_distance(xa, xb))
+            sup = max(sup, l2_distance(sa.product(), sb.product()))
         sup_errors.append(sup)
         rate = (
             float(np.log2(sup_errors[-2] / sup)) if lvl > 0 and sup > 0 else float("nan")
@@ -200,13 +201,11 @@ def cmd_compare(cfg, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, "error_report.csv"), "level,dt,sup_error,rate_vs_prev", rows)
     _write_manifest(out_dir, cfg, time.perf_counter() - start, "compare")
-    return 0
+    return _exit_status(cfg.t_end, *trajs)
 
 
 def cmd_picard_demo(cfg, out_dir):
     import math
-
-    import numpy as np
 
     from . import kernels, paths
     from .models import default_initial
@@ -216,7 +215,7 @@ def cmd_picard_demo(cfg, out_dir):
     model = _build_model(cfg)
     initial = default_initial(model, cfg.n_atoms, cfg.rank, seed=cfg.seed)
     rep = kernels.gram(initial.Y)
-    rho = math.sqrt(float(kernels.ensemble_mean(np.sum(initial.Y**2, axis=1))))
+    rho = math.sqrt(kernels.mean_sq_norm(initial.Y))
     delta = kernels.picard_delta(cfg.rank, rho, rep.inv_frobenius, cfg.dim, model.C_lgb)
     grid = cfg.picard_grid
     path = paths.generate(cfg.seed, grid, delta / grid, cfg.n_atoms, model.m)
@@ -279,7 +278,7 @@ def cmd_explosion_study(cfg, out_dir):
         [(c.n, c.t, c.which, c.delta_n) for c in crossings],
     )
     _write_run_outputs(out_dir, cfg, traj, time.perf_counter() - start, "explosion-study")
-    return 0
+    return _exit_status(cfg.t_end, traj)
 
 
 def _self_test():
@@ -378,7 +377,6 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    _configure_threads()
     parser = argparse.ArgumentParser(
         prog="dosde",
         description="Monte-Carlo engine for dynamically orthogonal low-rank SDE ensembles",

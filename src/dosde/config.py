@@ -13,10 +13,11 @@ import math
 import re
 from dataclasses import dataclass, field
 
+from . import integrators
 from .errors import ParseError, ValidationError
 from .models import PARAM_NAMES
 
-_SCHEMES = ("do", "ambient", "reference", "picard")
+_SCHEMES = integrators._SCHEMES + ("picard",)
 
 _LINE_RE = re.compile(r"^([A-Za-z_]+)\.([A-Za-z_]+)\s*=\s*(.+?)\s*$")
 _INT_RE = re.compile(r"^[+-]?\d+$")

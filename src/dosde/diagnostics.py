@@ -13,8 +13,7 @@ import numpy as np
 from . import kernels
 from .errors import InsufficientData, InvalidEnsemble, ShapeMismatch
 from .integrators import DoState, integrate
-
-_MASK64 = (1 << 64) - 1
+from .paths import philox
 
 
 def l2_distance(A, B):
@@ -23,11 +22,8 @@ def l2_distance(A, B):
     B = np.asarray(B, dtype=float)
     if A.shape != B.shape:
         raise ShapeMismatch("shapes differ: %r vs %r" % (A.shape, B.shape))
-    if A.ndim == 1:
-        A = A[:, None]
-        B = B[:, None]
-    diff_sq = np.sum((A - B) ** 2, axis=1)
-    return float(math.sqrt(kernels.ensemble_mean(diff_sq)))
+    D = A - B
+    return math.sqrt(kernels.mean_sq_norm(D[:, None] if D.ndim == 1 else D))
 
 
 @dataclass
@@ -137,7 +133,7 @@ def holder_estimator(traj, k=1, gaps=None):
     if len(times) < 2:
         raise InsufficientData("trajectory has fewer than 2 recorded states")
     dt = times[1] - times[0]
-    X = [s.product() if isinstance(s, DoState) else s.X for s in traj.states]
+    X = [s.product() for s in traj.states]
     n = len(X)
     if gaps is None:
         gaps = [4 * dt * 2**j for j in range(5)]
@@ -171,8 +167,7 @@ def second_moment_rank_track(traj, rel_threshold=kernels.EPS_RANK):
     """Numerical rank of E[X X^T] at each recorded time."""
     ranks = []
     for state in traj.states:
-        X = state.product() if isinstance(state, DoState) else state.X
-        ranks.append(kernels.second_moment_svd(X, rel_threshold=rel_threshold).rank)
+        ranks.append(kernels.second_moment_svd(state.product(), rel_threshold=rel_threshold).rank)
     return np.array([s.t for s in traj.states]), np.array(ranks)
 
 
@@ -202,16 +197,14 @@ def projector_lipschitz_harness(n_trials=1000, N=32, d=8, R=3, seed=0):
     I_N = np.eye(N)
     I_d = np.eye(d)
     for trial in range(n_trials):
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([seed & _MASK64, trial], dtype=np.uint64))
-        )
+        rng = np.random.Generator(philox(seed, trial))
         X, sigma_R = _planted_rank_R(rng, N, d, R)
         # Perturb inside the radius, then snap back onto rank R.
         eps = 0.4 * rng.uniform(0.1, 1.0) * sigma_R / R
         D = rng.standard_normal((N, d))
-        D /= _ens_norm(D)
+        D /= math.sqrt(kernels.mean_sq_norm(D))
         Xhat = _truncate_rank(X + eps * D, R)
-        dist = _ens_norm(X - Xhat)
+        dist = math.sqrt(kernels.mean_sq_norm(X - Xhat))
         assert dist < sigma_R / R
         fac = kernels.second_moment_svd(X)
         fac_h = kernels.second_moment_svd(Xhat)
@@ -242,11 +235,6 @@ def _planted_rank_R(rng, N, d, R):
     sig = np.sort(rng.uniform(0.5, 2.0, size=R))[::-1]
     X = (Phi * sig) @ Qd.T
     return X, float(sig[-1])
-
-
-def _ens_norm(X):
-    """L2(Omega; R^d) norm: sqrt(E |X|^2)."""
-    return float(math.sqrt(kernels.ensemble_mean(np.sum(X**2, axis=1))))
 
 
 def _truncate_rank(X, R):

@@ -1,6 +1,7 @@
 """Euler-Maruyama steppers for full, factored and ambient low-rank states.
 
-Three ways to advance the same dynamics, sharing one Brownian path:
+Three ways to advance the same dynamics, sharing one Brownian path and
+one contract, ``step(model, state, dW, dt) -> (state, StepReport)``:
 
 - ``step_reference``   plain EM on the full ensemble, the ground truth;
 - ``step_do``          factored (U, Y): EM for the coefficients, explicit
@@ -9,14 +10,15 @@ Three ways to advance the same dynamics, sharing one Brownian path:
                        product U^T Y is untouched by the retraction;
 - ``step_ambient_dlra`` parametrization-free form: projectors are rebuilt
                        from E[X X^T] every step and applied to the full
-                       state directly.
+                       state directly (its rank ``R`` is a keyword).
 
-``integrate`` drives any scheme to t_end, records strided snapshots and
-per-step diagnostics, and defers Gram singularities / inverse-norm cap
-crossings to an optional policy hook (see rank_control) that can
-truncate and restart the factorization mid-run.
+``integrate`` picks one stepper, drives it to t_end, records strided
+snapshots and one StepReport per step, and defers Gram singularities /
+inverse-norm cap crossings to an optional policy hook (see
+rank_control) that can truncate and restart the factorization mid-run.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,21 +54,26 @@ class FullState:
     t: float
     X: np.ndarray
 
+    def product(self):
+        """The ensemble itself, shape (N, d)."""
+        return self.X
+
 
 @dataclass
 class StepReport:
-    """Per-step health numbers for the factored schemes.
+    """Health numbers of one step, stamped with the time it reached.
 
     gauge_defect = ||U_n (U_{n+1} - U_n)^T||_F measures drift along the
-    gauge; ortho_defect_pre_retraction = ||U_raw U_raw^T - I||_F is the
-    orthonormality loss the retraction had to repair.
+    gauge; ortho_defect = ||U_raw U_raw^T - I||_F is the orthonormality
+    loss the retraction had to repair.  The full-state reference step
+    reports zero defects and NaN spectral numbers.
     """
 
+    t: float
     gauge_defect: float
-    ortho_defect_pre_retraction: float
+    ortho_defect: float
     gram_inv_frobenius: float
-    dt_used: float
-    lambda_min: float = math.nan
+    lambda_min: float
 
 
 def _apply_diffusion(B, dW):
@@ -84,7 +91,8 @@ def step_reference(model, state, dW, dt):
     X1 = X + a * dt + _apply_diffusion(b, dW)
     if not np.isfinite(X1).all():
         raise NonFiniteState("reference step produced non-finite state at t=%g" % state.t)
-    return FullState(t=state.t + dt, X=X1)
+    t = state.t + dt
+    return FullState(t=t, X=X1), StepReport(t, 0.0, 0.0, math.nan, math.nan)
 
 
 def _qr_retract(U_raw):
@@ -142,16 +150,16 @@ def step_do(model, state, dW, dt):
     if not np.isfinite(Y1).all():
         raise NonFiniteState("factored step produced non-finite coefficients at t=%g" % state.t)
     report = StepReport(
+        t=state.t + dt,
         gauge_defect=float(np.linalg.norm(U @ (U1 - U).T)),
-        ortho_defect_pre_retraction=ortho_defect,
+        ortho_defect=ortho_defect,
         gram_inv_frobenius=rep.inv_frobenius,
-        dt_used=dt,
         lambda_min=rep.lambda_min,
     )
-    return DoState(t=state.t + dt, U=U1, Y=Y1), report
+    return DoState(t=report.t, U=U1, Y=Y1), report
 
 
-def step_ambient_dlra(model, state, R, dW, dt):
+def step_ambient_dlra(model, state, dW, dt, *, R):
     """One step of the parametrization-free scheme on the full state.
 
     Projectors are rebuilt from the current second moment: P_U projects
@@ -185,24 +193,13 @@ def step_ambient_dlra(model, state, R, dW, dt):
         raise NonFiniteState("ambient step produced non-finite state at t=%g" % state.t)
     gammas = fac.gammas[:R]
     report = StepReport(
+        t=state.t + dt,
         gauge_defect=0.0,
-        ortho_defect_pre_retraction=0.0,
+        ortho_defect=0.0,
         gram_inv_frobenius=float(np.sqrt(np.sum(gammas**-2))),
-        dt_used=dt,
         lambda_min=float(gammas[-1]),
     )
-    return FullState(t=state.t + dt, X=X1), report
-
-
-@dataclass
-class StepDiagnostics:
-    """One diagnostics CSV row."""
-
-    t: float
-    gauge_defect: float
-    ortho_defect: float
-    gram_inv_frobenius: float
-    lambda_min: float
+    return FullState(t=report.t, X=X1), report
 
 
 @dataclass
@@ -210,8 +207,8 @@ class Trajectory:
     """Recorded output of ``integrate``.
 
     ``times``/``states`` hold strided snapshots (always including the
-    initial and final state), ``diag`` one StepDiagnostics per completed
-    step, ``events`` any rank events raised by the policy hook, and
+    initial and final state), ``diag`` one StepReport per step (plus a
+    failure row at each Gram singularity), ``events`` any rank events raised by the policy hook, and
     ``completed`` is False when integration halted at an unhandled
     singularity.
     """
@@ -251,7 +248,9 @@ def integrate(
 
     On SingularGram (or a cap crossing flagged by the policy) the run
     either restarts through the policy or, without one, records a final
-    rank event and returns with ``completed=False``.
+    rank event and returns with ``completed=False``.  A restart after
+    SingularGram retries the same increment; a cap crossing has already
+    consumed its step.
     """
     if scheme not in _SCHEMES:
         raise ShapeMismatch("unknown scheme %r; expected one of %s" % (scheme, _SCHEMES))
@@ -266,109 +265,60 @@ def integrate(
         raise ShapeMismatch("path dt=%g differs from requested dt=%g" % (path.dt, dt))
 
     initial.validate()
+    # Steppers are looked up per call, so rebinding a module attribute
+    # (as an outside tracer does) reaches this loop.
     if scheme == "do":
         if not initial.factored:
             raise ShapeMismatch("the 'do' scheme needs a factored initial datum")
-        state = DoState(t=0.0, U=initial.U.copy(), Y=initial.Y.copy())
+        state, step = DoState(t=0.0, U=initial.U.copy(), Y=initial.Y.copy()), step_do
     else:
-        state = FullState(t=0.0, X=initial.to_full().copy())
-        if scheme == "ambient":
-            if R is None:
-                R = initial.U.shape[0] if initial.factored else None
-            if R is None:
-                raise ShapeMismatch("the 'ambient' scheme needs a rank R")
+        state, step = FullState(t=0.0, X=initial.to_full().copy()), step_reference
+    if scheme == "ambient":
+        if R is None and initial.factored:
+            R = initial.U.shape[0]
+        if R is None:
+            raise ShapeMismatch("the 'ambient' scheme needs a rank R")
+        step = functools.partial(step_ambient_dlra, R=R)
+    n_atoms = state.product().shape[0]
+    if path.N != n_atoms:
+        raise ShapeMismatch("path has %d atoms, state has %d" % (path.N, n_atoms))
 
-    if path.N != _atoms(state):
-        raise ShapeMismatch("path has %d atoms, state has %d" % (path.N, _atoms(state)))
-
+    # Steppers return fresh states, so snapshots need no copy.
     traj = Trajectory(
-        scheme=scheme, times=[0.0], states=[_snapshot(state)], diag=[], events=[], completed=True
+        scheme=scheme, times=[0.0], states=[state], diag=[], events=[], completed=True
     )
     if policy is not None:
         policy.attach(state)
 
     k = 0
     while k < n_steps:
-        dW = path.increments[k]
-        if scheme == "reference":
-            state = step_reference(model, state, dW, dt)
-            report = StepReport(0.0, 0.0, math.nan, dt)
-        elif scheme == "ambient":
-            state, report = step_ambient_dlra(model, state, R, dW, dt)
+        try:
+            state, report = step(model, state, path.increments[k], dt)
+        except SingularGram as err:
+            # Failure row at the current time; a restart retries this
+            # same increment (Brownian counters continue).
+            singular = True
+            report = StepReport(state.t, 0.0, 0.0, math.inf, err.report.lambda_min)
         else:
-            try:
-                state, report = step_do(model, state, dW, dt)
-            except SingularGram as err:
-                # Record the failure row, then retry this same increment
-                # with the truncated state (Brownian counters continue).
-                traj.diag.append(
-                    StepDiagnostics(
-                        t=state.t,
-                        gauge_defect=0.0,
-                        ortho_defect=0.0,
-                        gram_inv_frobenius=math.inf,
-                        lambda_min=err.report.lambda_min,
-                    )
-                )
-                if policy is not None:
-                    policy.observe(state.t, math.inf, _y_norm_sq(state))
-                handled = _handle_rank_event(traj, state, policy)
-                if handled is None:
-                    traj.completed = False
-                    break
-                state = handled
-                continue
-        state.t = (k + 1) * dt  # fixed grid, no accumulated float drift
-        traj.diag.append(_diag_row(state.t, report))
-        if policy is not None and scheme == "do":
-            policy.observe(state.t, report.gram_inv_frobenius, _y_norm_sq(state))
-            if policy.should_restart(report):
-                handled = _handle_rank_event(traj, state, policy)
-                if handled is None:
-                    traj.completed = False
-                    break
-                state = handled
-        k += 1
-        if k % record_stride == 0 or k == n_steps:
+            singular = False
+            k += 1
+            state.t = report.t = k * dt  # fixed grid, no accumulated float drift
+        traj.diag.append(report)
+        if policy is not None:
+            policy.observe(report.t, report.gram_inv_frobenius, kernels.mean_sq_norm(state.Y))
+        if singular or (policy is not None and policy.should_restart(report)):
+            if policy is None:
+                from .rank_control import describe_event  # local import avoids a cycle
+
+                state, event = None, describe_event(state)
+            else:
+                state, event = policy.restart(state)
+            traj.events.append(event)
+            if state is None:
+                traj.completed = False
+                break
+            policy.attach(state)
+        if not singular and (k % record_stride == 0 or k == n_steps):
             traj.times.append(state.t)
-            traj.states.append(_snapshot(state))
+            traj.states.append(state)
     return traj
-
-
-def _y_norm_sq(state):
-    return float(kernels.ensemble_mean(np.sum(state.Y**2, axis=1)))
-
-
-def _atoms(state):
-    return state.Y.shape[0] if isinstance(state, DoState) else state.X.shape[0]
-
-
-def _snapshot(state):
-    if isinstance(state, DoState):
-        return DoState(t=state.t, U=state.U.copy(), Y=state.Y.copy())
-    return FullState(t=state.t, X=state.X.copy())
-
-
-def _diag_row(t, report):
-    return StepDiagnostics(
-        t=t,
-        gauge_defect=report.gauge_defect,
-        ortho_defect=report.ortho_defect_pre_retraction,
-        gram_inv_frobenius=report.gram_inv_frobenius,
-        lambda_min=report.lambda_min,
-    )
-
-
-def _handle_rank_event(traj, state, policy):
-    """Delegate a singular/cap event to the policy; None means halt."""
-    if policy is None:
-        from .rank_control import describe_event  # local import avoids a cycle
-
-        traj.events.append(describe_event(state))
-        return None
-    new_state, event = policy.restart(state)
-    traj.events.append(event)
-    if new_state is None:
-        return None
-    policy.attach(new_state)
-    return new_state

@@ -74,6 +74,11 @@ def mean_outer(A, B):
     return ensemble_mean(A[:, :, None] * B[:, None, :])
 
 
+def mean_sq_norm(A):
+    """E|A|^2 for an ensemble A (N x k): mean over atoms of the squared row norms."""
+    return float(ensemble_mean(np.sum(A**2, axis=1)))
+
+
 def as_ensemble(Y, name="ensemble"):
     """Validate an N x k sample matrix: 2-D, N >= 1, finite entries."""
     Y = np.asarray(Y, dtype=float)
@@ -122,28 +127,25 @@ def gram(Y):
     C = mean_outer(Y, Y)
     # The pairwise tree visits (j,k) and (k,j) in the same order, so C is
     # exactly symmetric; eigh needs no symmetrization.
-    vals, vecs = np.linalg.eigh(C)
-    trace = float(np.trace(C))
-    threshold = EPS_RANK * max(trace, 0.0)
-    rank = int(np.count_nonzero(vals > threshold))
-    lam_min = float(vals[0])
-    sigma_R = float(np.abs(vals).min())
-    invertible = lam_min > threshold
-    if invertible:
-        inv = (vecs / vals) @ vecs.T
-        inv_fro = float(math.sqrt(np.sum((1.0 / vals) ** 2)))
-    else:
-        inv = None
-        inv_fro = math.inf
+    vals, threshold, inv = _eigh_inverse(C)
     return GramReport(
         gram=C,
         eigenvalues=vals,
         inverse=inv,
-        lambda_min=max(lam_min, 0.0),
-        sigma_R=sigma_R,
-        inv_frobenius=inv_fro,
-        rank=rank,
+        lambda_min=max(float(vals[0]), 0.0),
+        sigma_R=float(np.abs(vals).min()),
+        inv_frobenius=math.inf if inv is None else float(math.sqrt(np.sum((1.0 / vals) ** 2))),
+        rank=int(np.count_nonzero(vals > threshold)),
     )
+
+
+def _eigh_inverse(G):
+    """Ascending eigenvalues of a symmetric G, the relative threshold
+    EPS_RANK * trace, and G^-1 when lambda_min clears it (else None)."""
+    vals, vecs = np.linalg.eigh(G)
+    threshold = EPS_RANK * max(float(np.trace(G)), 0.0)
+    inv = (vecs / vals) @ vecs.T if vals[0] > threshold else None
+    return vals, threshold, inv
 
 
 def projector_row(U, gram_inverse=None):
@@ -156,13 +158,11 @@ def projector_row(U, gram_inverse=None):
     if U.ndim != 2:
         raise InvalidEnsemble("U must be 2-D")
     if gram_inverse is None:
-        G = U @ U.T
-        vals, vecs = np.linalg.eigh(G)
-        if vals[0] <= EPS_RANK * max(float(np.trace(G)), 0.0):
+        vals, _, gram_inverse = _eigh_inverse(U @ U.T)
+        if gram_inverse is None:
             raise SingularRowGram(
                 "row Gram of U is singular (lambda_min=%g)" % vals[0]
             )
-        gram_inverse = (vecs / vals) @ vecs.T
     return U.T @ gram_inverse @ U
 
 
@@ -272,6 +272,11 @@ def eta_radius(rho, gamma):
     return x / (rho + math.sqrt(rho * rho + x))
 
 
+def _admissible_eta(R, rho, gamma):
+    """The smaller of eta(sqrt(R), sqrt(R)) and eta(rho, gamma)."""
+    return min(eta_radius(math.sqrt(R), math.sqrt(R)), eta_radius(rho, gamma))
+
+
 def picard_delta(R, rho, gamma, d, C_lgb):
     """Length of the local fixed-point window for given ensemble norms.
 
@@ -298,7 +303,7 @@ def picard_delta(R, rho, gamma, d, C_lgb):
     if not (isinstance(d, int) and d >= 1):
         raise InvalidBoundInput("d must be a positive integer, got %r" % (d,))
     _require_positive(rho=rho, gamma=gamma, C_lgb=C_lgb)
-    eta = min(eta_radius(math.sqrt(R), math.sqrt(R)), eta_radius(rho, gamma))
+    eta = _admissible_eta(R, rho, gamma)
     eta_sq = eta * eta
     crowd = 1.0 + 3.0 * R * (3.0 * rho * rho + 1.0)
     term_det = min(1.0, eta_sq) / (36.0 * R * C_lgb * crowd)
@@ -357,9 +362,15 @@ def moment_bound_2k(k, T, E_Y0_2k, C_lgb):
         raise InvalidBoundInput("k must be a positive integer, got %r" % (k,))
     _require_nonnegative(T=T, E_Y0_2k=E_Y0_2k)
     _require_positive(C_lgb=C_lgb)
+    K1, K2 = _moment_constants(k, T, C_lgb)
+    return (E_Y0_2k + K1) * K2
+
+
+def _moment_constants(k, T, C_lgb):
+    """K1(T) and K2(T) of the 2k-th moment envelope."""
     K1 = 3.0 * k * k * C_lgb * T / (1.0 + 1.0 / C_lgb) ** (k - 1)
     K2 = _exp_or_inf(6.0 * k * k * C_lgb * (1.0 + 1.0 / C_lgb) * T)
-    return (E_Y0_2k + K1) * K2
+    return K1, K2
 
 
 @dataclass
@@ -382,11 +393,9 @@ def well_posedness_bounds(R, d, rho, gamma, T, E_Y0_sq, C_lgb, k=1, E_Y0_2k=None
     """
     if E_Y0_2k is None:
         E_Y0_2k = E_Y0_sq
-    eta = min(eta_radius(math.sqrt(R), math.sqrt(R)), eta_radius(rho, gamma))
-    delta = picard_delta(R, rho, gamma, d, C_lgb)
-    M_T = stability_bound_M(T, E_Y0_sq, C_lgb)
-    K1 = 3.0 * k * k * C_lgb * T / (1.0 + 1.0 / C_lgb) ** (k - 1)
-    K2 = _exp_or_inf(6.0 * k * k * C_lgb * (1.0 + 1.0 / C_lgb) * T)
+    K1, K2 = _moment_constants(k, T, C_lgb)
     return WellPosednessBounds(
-        rho=rho, gamma=gamma, eta=eta, delta=delta, M_T=M_T, K1=K1, K2=K2
+        rho=rho, gamma=gamma, eta=_admissible_eta(R, rho, gamma),
+        delta=picard_delta(R, rho, gamma, d, C_lgb),
+        M_T=stability_bound_M(T, E_Y0_sq, C_lgb), K1=K1, K2=K2,
     )

@@ -26,8 +26,7 @@ import numpy as np
 
 from . import kernels
 from .errors import AssumptionViolated, BadParams, InvalidEnsemble, UnknownModel
-
-_MASK64 = (1 << 64) - 1
+from .paths import _MASK64
 
 
 def _rng(*key):

@@ -34,10 +34,14 @@ MAX_ELEMENTS = 1 << 27
 _MASK64 = (1 << 64) - 1
 
 
+def philox(seed, counter):
+    """Philox bit generator keyed by the 64-bit words (seed, counter)."""
+    return np.random.Philox(key=np.array([seed & _MASK64, counter & _MASK64], dtype=np.uint64))
+
+
 def _normal_block(seed, fine_step, N, m):
     """One fine step's worth of standard normals, shape (N, m)."""
-    bg = np.random.Philox(key=np.array([seed & _MASK64, fine_step & _MASK64], dtype=np.uint64))
-    raw = bg.random_raw(N * m)
+    raw = philox(seed, fine_step).random_raw(N * m)
     # 53-bit uniform strictly inside (0, 1): no CDF endpoint overflow.
     u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
     return ndtri(u).reshape(N, m)

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ShapeMismatch, SingularGram, SingularRowGram
+from .integrators import _apply_diffusion
 
 
 @dataclass
@@ -99,7 +100,7 @@ def picard_local_solve(model, U0, Y0, path, n_iters=7):
                 ) from err
             dU[j] = rep.inverse @ (G - G @ P)
             dY_drift[j] = aj @ Uj.T
-            dY_noise[j] = _apply(Uj, bj, path.increments[j])
+            dY_noise[j] = _apply_diffusion(np.matmul(Uj, bj), path.increments[j])
         U_new = np.concatenate([U0[None], U0[None] + np.cumsum(dU * h, axis=0)])
         incr = dY_drift * h + dY_noise
         Y_new = np.concatenate([Y0[None], Y0[None] + np.cumsum(incr, axis=0)])
@@ -118,11 +119,6 @@ def picard_local_solve(model, U0, Y0, path, n_iters=7):
         sup_U_sq=sup_U_sq,
         exp_sup_Y_sq=exp_sup_Y_sq,
     )
-
-
-def _apply(U, b, dW):
-    Ub = np.matmul(U, b)
-    return np.matmul(Ub, dW[..., :, None])[..., 0]
 
 
 def _exp_sup_sq(Y_traj):

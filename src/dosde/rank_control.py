@@ -103,7 +103,6 @@ class RankEvent:
     new_rank: int
     discarded_mass: float
     inv_norm_at_event: float
-    X_snapshot: np.ndarray
 
 
 def truncate_and_restart(t, X, sv_tolerance=DEFAULT_SV_TOLERANCE):
@@ -127,8 +126,8 @@ def truncate_and_restart(t, X, sv_tolerance=DEFAULT_SV_TOLERANCE):
 
 
 def describe_event(state):
-    """RankEvent for a halt (no restart): snapshot plus spectrum."""
-    X = state.product() if isinstance(state, DoState) else state.X
+    """RankEvent for a halt (no restart): the spectrum at the halt."""
+    X = state.product()
     fac = kernels.second_moment_svd(X, rel_threshold=DEFAULT_SV_TOLERANCE)
     old_rank = state.rank if isinstance(state, DoState) else X.shape[1]
     discarded = max(fac.trace - float(np.sum(fac.gammas)), 0.0)
@@ -139,7 +138,6 @@ def describe_event(state):
         new_rank=fac.rank,
         discarded_mass=discarded,
         inv_norm_at_event=math.inf,
-        X_snapshot=X.copy(),
     )
 
 
@@ -174,9 +172,8 @@ class RestartPolicy:
         self._delta_args = None
 
     def attach(self, state):
-        rep = kernels.gram(state.Y)
-        base_inv = rep.inv_frobenius
-        y_norm_sq = float(kernels.ensemble_mean(np.sum(state.Y**2, axis=1)))
+        base_inv = kernels.gram(state.Y).inv_frobenius
+        y_norm_sq = kernels.mean_sq_norm(state.Y)
         self.monitor = ExplosionMonitor(
             base_inv_norm=base_inv,
             base_Y_norm=math.sqrt(y_norm_sq),
@@ -234,7 +231,6 @@ class RestartPolicy:
             new_rank=new_state.rank,
             discarded_mass=discarded,
             inv_norm_at_event=rep.inv_frobenius,
-            X_snapshot=X.copy(),
         )
         return new_state, event
 

@@ -1,6 +1,7 @@
 """End-to-end CLI checks through real subprocesses."""
 
 import csv
+import os
 import subprocess
 import sys
 
@@ -126,6 +127,68 @@ run.out_dir = {out}
     assert set(rows[0]) == {"level", "dt", "sup_error", "rate_vs_prev"}
     assert float(rows[0]["dt"]) == 5e-3
     assert float(rows[1]["dt"]) == 2.5e-3
+
+
+def test_compare_shortened_run_exits_3(tmp_path):
+    # the factored run halts at the planted collinearity t_star = 1, so
+    # the comparison is not a complete result even though it is written
+    text = """
+model.name = mode_crossing
+model.t_star = 1.0
+run.dim = 4
+run.scheme = do
+compare.scheme_b = reference
+compare.levels = 2
+run.t_end = 1.2
+run.dt = 1e-2
+run.n_atoms = 64
+run.rank = 2
+run.seed = 0
+run.out_dir = {out}
+""".format(out=tmp_path / "out")
+    cfg = _write(tmp_path, text)
+    proc = _run("compare", cfg)
+    assert proc.returncode == 3
+    assert "numerical failure: do run stopped at t=1.0 before t_end=1.2" in proc.stderr
+    assert len(_rows(tmp_path / "out" / "error_report.csv")) == 2
+
+
+_BLAS_THREADS = """
+import ctypes
+
+import dosde  # must load before numpy for DOSDE_THREADS to apply
+
+with open("/proc/self/maps", encoding="utf-8") as fh:
+    libs = sorted({line.split()[-1] for line in fh if "openblas" in line and ".so" in line})
+for lib in libs:
+    handle = ctypes.CDLL(lib)
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                   "openblas_get_num_threads"):
+        fn = getattr(handle, symbol, None)
+        if fn is not None:
+            fn.restype = ctypes.c_int
+            print(fn())
+            raise SystemExit(0)
+print("none")
+"""
+
+
+def test_dosde_threads_sets_blas_threads_in_effect():
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("needs /proc/self/maps to find the loaded BLAS")
+    env = {
+        k: v
+        for k, v in os.environ.items()
+        if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    }
+    env["DOSDE_THREADS"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLAS_THREADS], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.strip() == "none":
+        pytest.skip("no OpenBLAS loaded")
+    assert proc.stdout.strip() == "1"
 
 
 def test_picard_demo_outputs(tmp_path):

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dosde import paths
+from dosde import kernels, paths
 from dosde.errors import NonFiniteState, RankDeficient, ShapeMismatch, SingularGram
 from dosde.integrators import (
     DoState,
     FullState,
+    _apply_diffusion,
     integrate,
     step_ambient_dlra,
     step_do,
@@ -29,7 +32,7 @@ def test_reference_step_matches_hand_euler():
     # independent reimplementation of the same update
     model, state = _ou_state()
     dW = paths.generate(11, 1, 0.01, 64, model.m).increments[0]
-    new = step_reference(model, state, dW, 0.01)
+    new, _ = step_reference(model, state, dW, 0.01)
     hand = state.X + (-1.5 * state.X) * 0.01 + 0.4 * dW
     assert np.allclose(new.X, hand, atol=1e-15)
     assert new.t == 0.01
@@ -58,9 +61,8 @@ def test_do_step_retraction_invariants():
     # rows stay orthonormal after retraction
     assert np.linalg.norm(new.U @ new.U.T - np.eye(1)) < 1e-14
     # the pre-retraction defect the QR repaired is O(dt^2)
-    assert rep.ortho_defect_pre_retraction < 1e-3 * 0.01
+    assert rep.ortho_defect < 1e-3 * 0.01
     assert rep.gauge_defect < 1e-3 * 0.01
-    assert rep.dt_used == 0.01
     assert rep.lambda_min > 0.9  # whitened coefficients start near identity
 
 
@@ -111,7 +113,7 @@ def test_ambient_step_rank_guard():
     base = np.random.default_rng(4).standard_normal(32)
     X = np.outer(base, [1.0, 0.0, 0.0])  # exactly rank 1
     with pytest.raises(RankDeficient):
-        step_ambient_dlra(model, FullState(t=0.0, X=X), 2, np.zeros((32, 3)), 0.01)
+        step_ambient_dlra(model, FullState(t=0.0, X=X), np.zeros((32, 3)), 0.01, R=2)
 
 
 def test_do_and_ambient_coincide_on_invariant_span():
@@ -229,3 +231,59 @@ def test_integrate_without_policy_halts_at_singularity():
     assert traj.events[0].t_event == pytest.approx(1.0, abs=1e-9)
     # the recorded diagnostics end with the inversion failure row
     assert traj.diag[-1].gram_inv_frobenius == math.inf
+
+
+# ---------------------------------------------------------------- properties
+
+
+@st.composite
+def _do_cases(draw):
+    d = draw(st.integers(2, 8))
+    R = draw(st.integers(1, d))
+    N = draw(st.integers(R + 2, 64))
+    name = draw(st.sampled_from(["additive_floor", "gbm_clipped", "ou"]))
+    return builtin(name, d=d), N, R, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_do_cases())
+def test_do_step_retraction_properties(case):
+    # U stays orthonormal, and the retraction leaves U^T Y as the
+    # unretracted update left it: Y+ U+ == Y_pre U_raw per atom
+    model, N, R, seed = case
+    init = default_initial(model, N, R, seed=seed)
+    state = DoState(t=0.0, U=init.U, Y=init.Y)
+    dt = 0.01
+    dW = paths.generate(seed, 1, dt, N, model.m).increments[0]
+    U, Y = state.U, state.Y
+    X = Y @ U
+    a = model.drift(0.0, X)
+    G = kernels.mean_outer(Y, a)
+    U_raw = U + dt * (kernels.gram(Y).inverse @ (G - (G @ U.T) @ U))
+    Y_pre = Y + (a @ U.T) * dt + _apply_diffusion(U @ model.diffusion(0.0, X), dW)
+
+    new, rep = step_do(model, state, dW, dt)
+    assert np.linalg.norm(new.U @ new.U.T - np.eye(R)) < 1e-13
+    expect = Y_pre @ U_raw
+    assert np.max(np.abs(new.Y @ new.U - expect)) <= 1e-12 * max(1.0, np.max(np.abs(expect)))
+    assert rep.t == dt
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    scheme=st.sampled_from(["do", "ambient", "reference"]),
+    n_steps=st.integers(1, 30),
+    stride=st.integers(1, 40),
+)
+def test_integrate_records_stride_multiples_and_final(scheme, n_steps, stride):
+    model = builtin("ou", d=3)
+    init = default_initial(model, N=16, R=2, seed=0)
+    dt = 1e-2
+    path = paths.generate(0, n_steps, dt, 16, model.m)
+    traj = integrate(model, init, scheme, n_steps * dt, dt, path, record_stride=stride, R=2)
+    kept = [k for k in range(1, n_steps + 1) if k % stride == 0 or k == n_steps]
+    assert traj.completed
+    assert traj.times == [0.0] + [k * dt for k in kept]
+    assert [s.t for s in traj.states] == traj.times
+    assert len(traj.diag) == n_steps
+    assert [row.t for row in traj.diag] == [k * dt for k in range(1, n_steps + 1)]

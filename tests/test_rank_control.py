@@ -7,7 +7,7 @@ import pytest
 
 from dosde import kernels, paths
 from dosde.errors import NoFloorDeclared, ZeroState
-from dosde.integrators import DoState, StepDiagnostics, integrate
+from dosde.integrators import DoState, StepReport, integrate
 from dosde.models import builtin, default_initial
 from dosde.rank_control import (
     ExplosionMonitor,
@@ -61,9 +61,9 @@ def test_monitor_labels_crossings_with_windows():
 
 def test_detect_explosion():
     rows = [
-        StepDiagnostics(t=0.1, gauge_defect=0, ortho_defect=0, gram_inv_frobenius=2.0, lambda_min=1),
-        StepDiagnostics(t=0.2, gauge_defect=0, ortho_defect=0, gram_inv_frobenius=50.0, lambda_min=1),
-        StepDiagnostics(t=0.3, gauge_defect=0, ortho_defect=0, gram_inv_frobenius=math.inf, lambda_min=0),
+        StepReport(t=0.1, gauge_defect=0, ortho_defect=0, gram_inv_frobenius=2.0, lambda_min=1),
+        StepReport(t=0.2, gauge_defect=0, ortho_defect=0, gram_inv_frobenius=50.0, lambda_min=1),
+        StepReport(t=0.3, gauge_defect=0, ortho_defect=0, gram_inv_frobenius=math.inf, lambda_min=0),
     ]
     assert detect_explosion(rows, gamma_cap=40.0) == (True, 0.2)
     assert detect_explosion(rows, gamma_cap=1e6) == (True, 0.3)
