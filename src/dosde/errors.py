@@ -56,10 +56,6 @@ class OverflowingDims(DosdeError):
     """Requested noise tensor exceeds the configured memory budget."""
 
 
-class ZeroState(DosdeError):
-    """Truncation retained no modes; the ensemble is numerically zero."""
-
-
 class NoFloorDeclared(DosdeError):
     """Model declares no uniform noise floor (sigma_B = 0)."""
 

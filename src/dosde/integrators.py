@@ -241,7 +241,7 @@ def integrate(
     path : BrownianPath
         Supplies increments; must cover ceil(t_end/dt) steps with
         matching atom and channel counts.
-    policy : optional rank/restart hook with methods ``attach(state)``,
+    policy : optional rank/restart hook ("do" only) with methods ``attach(state)``,
         ``observe(t, inv_frobenius, y_norm_sq)``, ``should_restart(report)``
         and ``restart(state) -> (DoState | None, RankEvent)``.
     R : rank for the ambient scheme (defaults to the initial rank).
@@ -263,6 +263,8 @@ def integrate(
         raise ShapeMismatch("path has %d channels, model needs %d" % (path.m, model.m))
     if abs(path.dt - dt) > 1e-12 * max(1.0, dt):
         raise ShapeMismatch("path dt=%g differs from requested dt=%g" % (path.dt, dt))
+    if policy is not None and scheme != "do":
+        raise ShapeMismatch("a rank policy needs the 'do' scheme, got %r" % scheme)
 
     initial.validate()
     # Steppers are looked up per call, so rebinding a module attribute
@@ -308,9 +310,9 @@ def integrate(
             policy.observe(report.t, report.gram_inv_frobenius, kernels.mean_sq_norm(state.Y))
         if singular or (policy is not None and policy.should_restart(report)):
             if policy is None:
-                from .rank_control import describe_event  # local import avoids a cycle
+                from .rank_control import truncate  # local import avoids a cycle
 
-                state, event = None, describe_event(state)
+                state, event = None, truncate(state)[1]
             else:
                 state, event = policy.restart(state)
             traj.events.append(event)

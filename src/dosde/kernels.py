@@ -97,11 +97,13 @@ class GramReport:
 
     ``inverse`` is present exactly when lambda_min clears the relative
     threshold EPS_RANK * trace; ``inv_frobenius`` is +inf otherwise.
-    ``eigenvalues`` are ascending, as returned by the symmetric solver.
+    ``eigenvalues`` are ascending, as returned by the symmetric solver,
+    and ``eigenvectors`` holds the matching unit eigenvectors as columns.
     """
 
     gram: np.ndarray
     eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
     inverse: np.ndarray | None
     lambda_min: float
     sigma_R: float
@@ -127,10 +129,11 @@ def gram(Y):
     C = mean_outer(Y, Y)
     # The pairwise tree visits (j,k) and (k,j) in the same order, so C is
     # exactly symmetric; eigh needs no symmetrization.
-    vals, threshold, inv = _eigh_inverse(C)
+    vals, vecs, threshold, inv = _eigh_inverse(C)
     return GramReport(
         gram=C,
         eigenvalues=vals,
+        eigenvectors=vecs,
         inverse=inv,
         lambda_min=max(float(vals[0]), 0.0),
         sigma_R=float(np.abs(vals).min()),
@@ -140,12 +143,21 @@ def gram(Y):
 
 
 def _eigh_inverse(G):
-    """Ascending eigenvalues of a symmetric G, the relative threshold
+    """Ascending eigenpairs of a symmetric G, the relative threshold
     EPS_RANK * trace, and G^-1 when lambda_min clears it (else None)."""
     vals, vecs = np.linalg.eigh(G)
     threshold = EPS_RANK * max(float(np.trace(G)), 0.0)
     inv = (vecs / vals) @ vecs.T if vals[0] > threshold else None
-    return vals, threshold, inv
+    return vals, vecs, threshold, inv
+
+
+def fix_signs(Q):
+    """C-order copy of Q with each column negated where needed so that its
+    largest-magnitude entry (the first one, on ties) is positive."""
+    Q = np.array(Q, dtype=float, order="C")
+    rows = np.argmax(np.abs(Q), axis=0)
+    Q *= np.where(Q[rows, np.arange(Q.shape[1])] < 0, -1.0, 1.0)
+    return Q
 
 
 def projector_row(U, gram_inverse=None):
@@ -158,7 +170,7 @@ def projector_row(U, gram_inverse=None):
     if U.ndim != 2:
         raise InvalidEnsemble("U must be 2-D")
     if gram_inverse is None:
-        vals, _, gram_inverse = _eigh_inverse(U @ U.T)
+        vals, _, _, gram_inverse = _eigh_inverse(U @ U.T)
         if gram_inverse is None:
             raise SingularRowGram(
                 "row Gram of U is singular (lambda_min=%g)" % vals[0]
@@ -195,16 +207,13 @@ class SecondMomentFactors:
     Q holds retained eigenvectors as columns (d x R'), ``gammas`` the
     matching eigenvalues in non-increasing order, and ``phis`` the
     coefficient functions phi_k = gamma_k^{-1/2} X q_k (N x R'), which
-    are orthonormal in the ensemble inner product.  ``spectrum`` is the
-    full eigenvalue list (non-increasing) including discarded modes.
+    are orthonormal in the ensemble inner product.
     """
 
     Q: np.ndarray
     gammas: np.ndarray
     phis: np.ndarray
     rank: int
-    trace: float
-    spectrum: np.ndarray
 
 
 def second_moment_svd(X, rel_threshold=EPS_RANK):
@@ -219,18 +228,13 @@ def second_moment_svd(X, rel_threshold=EPS_RANK):
     X = as_ensemble(X, "X")
     M = mean_outer(X, X)
     vals, vecs = np.linalg.eigh(M)
-    trace = float(np.trace(M))
     # Stable sort keeps the ascending-index order of tied eigenvalues.
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
     vecs = vecs[:, order]
-    threshold = rel_threshold * max(trace, 0.0)
+    threshold = rel_threshold * max(float(np.trace(M)), 0.0)
     keep = int(np.count_nonzero(vals > threshold))
-    Q = vecs[:, :keep].copy()
-    for k in range(keep):
-        j = int(np.argmax(np.abs(Q[:, k])))
-        if Q[j, k] < 0:
-            Q[:, k] = -Q[:, k]
+    Q = fix_signs(vecs[:, :keep])
     gammas = vals[:keep].copy()
     phis = (X @ Q) / np.sqrt(gammas)[None, :] if keep else np.zeros((X.shape[0], 0))
     return SecondMomentFactors(
@@ -238,8 +242,6 @@ def second_moment_svd(X, rel_threshold=EPS_RANK):
         gammas=gammas,
         phis=phis,
         rank=keep,
-        trace=trace,
-        spectrum=vals.copy(),
     )
 
 
@@ -386,13 +388,8 @@ class WellPosednessBounds:
     K2: float
 
 
-def well_posedness_bounds(R, d, rho, gamma, T, E_Y0_sq, C_lgb, k=1, E_Y0_2k=None):
-    """Evaluate every scalar bound for one run and return the bundle.
-
-    ``E_Y0_2k`` defaults to E_Y0_sq (the k = 1 case).
-    """
-    if E_Y0_2k is None:
-        E_Y0_2k = E_Y0_sq
+def well_posedness_bounds(R, d, rho, gamma, T, E_Y0_sq, C_lgb, k=1):
+    """Evaluate every scalar bound for one run and return the bundle."""
     K1, K2 = _moment_constants(k, T, C_lgb)
     return WellPosednessBounds(
         rho=rho, gamma=gamma, eta=_admissible_eta(R, rho, gamma),

@@ -93,12 +93,7 @@ def _planted_basis(d, R, key):
     """Deterministic orthonormal rows (R x d), sign-fixed."""
     G = _rng(0xD05DE, key, d * 31 + R).standard_normal((d, R))
     Q, _ = np.linalg.qr(G)
-    U = Q.T.copy()
-    for r in range(R):
-        j = int(np.argmax(np.abs(U[r])))
-        if U[r, j] < 0:
-            U[r] = -U[r]
-    return U
+    return kernels.fix_signs(Q).T.copy()
 
 
 def _linear_lowrank(lambdas=(-0.5, -2.0), sigma_b=0.5, d=8):

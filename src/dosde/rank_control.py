@@ -5,9 +5,9 @@ breaks down exactly when ||C_Y^-1||_F blows up.  The monitor records
 when that norm (or the ensemble norm of Y) first crosses each integer
 level above its starting value; a hard cap (default 1e8 x the starting
 norm) or an outright inversion failure declares an explosion.  At that
-point the ensemble is re-factored by spectral truncation of E[X X^T]
-and the run restarts at a strictly smaller rank, with the Brownian
-counters continuing where they left off.
+point the ensemble is re-factored by spectral truncation of E[X X^T],
+read off the R x R coefficient Gram, and the run restarts at a strictly
+smaller rank, with the Brownian counters continuing where they left off.
 """
 
 import math
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import NoFloorDeclared, ZeroState
+from .errors import NoFloorDeclared
 from .integrators import DoState
 
 DEFAULT_CAP_FACTOR = 1e8
@@ -105,40 +105,36 @@ class RankEvent:
     inv_norm_at_event: float
 
 
-def truncate_and_restart(t, X, sv_tolerance=DEFAULT_SV_TOLERANCE):
-    """Refactor a full ensemble at a strictly smaller rank.
+def truncate(state, sv_tolerance=DEFAULT_SV_TOLERANCE, max_rank=None):
+    """Refactor a factored ensemble on the eigenmodes of its R x R Gram.
 
-    Keeps the eigenmodes of E[X X^T] whose eigenvalue exceeds
-    ``sv_tolerance * trace``; the new basis is their transposed
-    eigenvector matrix and the new coefficients are the projections
-    Y'_i = Q^T X_i, so the reconstruction error is exactly the square
-    root of the discarded spectral mass.
-
-    Raises ZeroState when nothing clears the threshold.
+    E[X X^T] = U^T C_Y U, so the second moment has the eigenvectors
+    U^T v_k for the eigenpairs (gamma_k, v_k) of C_Y.  Keeps the modes
+    with gamma_k > ``sv_tolerance * trace``, at most ``max_rank`` of them;
+    with Q = U^T V_keep (signs fixed) the new state is U' = Q^T, Y' = X Q,
+    whose reconstruction error is the square root of the discarded mass.
+    Returns (DoState, or None when no mode is kept, RankEvent).
     """
-    fac = kernels.second_moment_svd(X, rel_threshold=sv_tolerance)
-    if fac.rank == 0:
-        raise ZeroState("no eigenvalue above %g * trace; ensemble is numerically zero"
-                        % sv_tolerance)
-    discarded = max(fac.trace - float(np.sum(fac.gammas)), 0.0)
-    state = DoState(t=t, U=fac.Q.T.copy(), Y=X @ fac.Q)
-    return state, fac, discarded
-
-
-def describe_event(state):
-    """RankEvent for a halt (no restart): the spectrum at the halt."""
-    X = state.product()
-    fac = kernels.second_moment_svd(X, rel_threshold=DEFAULT_SV_TOLERANCE)
-    old_rank = state.rank if isinstance(state, DoState) else X.shape[1]
-    discarded = max(fac.trace - float(np.sum(fac.gammas)), 0.0)
-    return RankEvent(
+    rep = kernels.gram(state.Y)
+    # Stable sort keeps the ascending-index order of tied eigenvalues.
+    order = np.argsort(-rep.eigenvalues, kind="stable")
+    vals = rep.eigenvalues[order]
+    trace = float(np.trace(rep.gram))
+    keep = int(np.count_nonzero(vals > sv_tolerance * max(trace, 0.0)))
+    if max_rank is not None:
+        keep = min(keep, max_rank)
+    event = RankEvent(
         t_event=state.t,
-        singular_values=fac.spectrum,
-        old_rank=old_rank,
-        new_rank=fac.rank,
-        discarded_mass=discarded,
-        inv_norm_at_event=math.inf,
+        singular_values=vals,
+        old_rank=state.rank,
+        new_rank=keep,
+        discarded_mass=max(trace - float(np.sum(vals[:keep])), 0.0),
+        inv_norm_at_event=rep.inv_frobenius,
     )
+    if keep == 0:
+        return None, event
+    Q = kernels.fix_signs(state.U.T @ rep.eigenvectors[:, order[:keep]])
+    return DoState(t=state.t, U=Q.T.copy(), Y=state.product() @ Q), event
 
 
 class RestartPolicy:
@@ -168,7 +164,6 @@ class RestartPolicy:
         self.gamma_cap = math.inf
         self.crossings = []
         self.restarts = 0
-        self._last_inv_norm = math.nan
         self._delta_args = None
 
     def attach(self, state):
@@ -189,50 +184,24 @@ class RestartPolicy:
         )
 
     def observe(self, t, inv_norm, y_norm_sq):
-        self._last_inv_norm = inv_norm
-        new = monitor_update(
+        self.crossings += monitor_update(
             self.monitor, t, inv_norm, math.sqrt(y_norm_sq), self._delta_args
         )
-        self.crossings.extend(new)
-        return new
 
     def should_restart(self, report):
         v = report.gram_inv_frobenius
         return (not math.isfinite(v)) or v >= self.gamma_cap
 
     def restart(self, state):
-        """Truncate at the event; returns (new state or None, RankEvent)."""
-        X = state.product()
-        rep = kernels.gram(state.Y)
-        spectrum = rep.eigenvalues[::-1].copy()
-        if self.restarts >= self.max_restarts:
-            event = describe_event(state)
-            return None, event
-        try:
-            new_state, fac, discarded = truncate_and_restart(state.t, X, self.sv_tolerance)
-        except ZeroState:
-            event = describe_event(state)
-            return None, event
-        if new_state.rank >= state.rank:
-            # A restart must reduce the rank; keeping it would loop.
-            new_state = DoState(
-                t=state.t,
-                U=new_state.U[: state.rank - 1],
-                Y=new_state.Y[:, : state.rank - 1],
-            )
-            discarded = max(fac.trace - float(np.sum(fac.gammas[: state.rank - 1])), 0.0)
-            if new_state.rank == 0:
-                return None, describe_event(state)
-        self.restarts += 1
-        event = RankEvent(
-            t_event=state.t,
-            singular_values=spectrum,
-            old_rank=state.rank,
-            new_rank=new_state.rank,
-            discarded_mass=discarded,
-            inv_norm_at_event=rep.inv_frobenius,
-        )
-        return new_state, event
+        """Truncate at the event to a strictly smaller rank; returns
+        (new state or None, RankEvent).  A halt (no mode kept, or the
+        restart budget spent) reports the untruncated spectrum."""
+        if self.restarts < self.max_restarts:
+            new_state, event = truncate(state, self.sv_tolerance, max_rank=state.rank - 1)
+            if new_state is not None:
+                self.restarts += 1
+                return new_state, event
+        return None, truncate(state, self.sv_tolerance)[1]
 
 
 def noise_floor_bound(model, bounds, sigma_Y0):

@@ -164,6 +164,14 @@ def test_second_moment_svd_recovers_planted_spectrum():
     assert np.allclose(C, np.eye(R), atol=1e-10)
 
 
+def test_fix_signs_largest_entry_positive_first_on_ties():
+    Q = np.asfortranarray([[0.6, -0.5, 1.0], [-0.8, 0.5, -1.0]])
+    out = kernels.fix_signs(Q)
+    np.testing.assert_array_equal(out, [[-0.6, 0.5, 1.0], [0.8, -0.5, -1.0]])
+    assert out.flags.c_contiguous
+    assert Q[0, 0] == 0.6  # the input is left alone
+
+
 def test_second_moment_svd_rank_counts_threshold():
     rng = np.random.default_rng(9)
     base = rng.standard_normal((128, 1))

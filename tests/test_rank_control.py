@@ -4,18 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dosde import kernels, paths
-from dosde.errors import NoFloorDeclared, ZeroState
+from dosde.errors import NoFloorDeclared, ShapeMismatch
 from dosde.integrators import DoState, StepReport, integrate
-from dosde.models import builtin, default_initial
+from dosde.models import builtin, default_initial, whiten
 from dosde.rank_control import (
     ExplosionMonitor,
     RestartPolicy,
     detect_explosion,
     monitor_update,
     noise_floor_bound,
-    truncate_and_restart,
+    truncate,
 )
 
 
@@ -75,7 +77,8 @@ def test_truncate_and_restart_planted_rank():
     base = rng.standard_normal(128)
     direction = np.array([3.0, 4.0, 0.0]) / 5.0
     X = np.outer(base, direction) + 1e-12 * rng.standard_normal((128, 3))
-    state, fac, discarded = truncate_and_restart(0.5, X)
+    state, event = truncate(DoState(t=0.5, U=np.eye(3), Y=X))
+    discarded = event.discarded_mass
     assert state.rank == 1
     assert state.t == 0.5
     assert np.linalg.norm(state.U @ state.U.T - np.eye(1)) < 1e-12
@@ -86,8 +89,53 @@ def test_truncate_and_restart_planted_rank():
 
 
 def test_truncate_zero_state():
-    with pytest.raises(ZeroState):
-        truncate_and_restart(0.0, np.zeros((16, 3)))
+    state, event = truncate(DoState(t=0.0, U=np.eye(3), Y=np.zeros((16, 3))))
+    assert state is None
+    assert event.new_rank == 0
+
+
+@st.composite
+def _planted_states(draw):
+    d = draw(st.integers(1, 8))
+    R = draw(st.integers(1, d))
+    N = draw(st.integers(R + 2, 64))
+    seed = draw(st.integers(0, 2**32 - 1))
+    # Gram spectrum: a top eigenvalue 1, then modes far above or far
+    # below the 1e-8 relative threshold (close pairs are allowed).
+    exponents = [0.0] + draw(
+        st.lists(st.floats(0.0, 6.0) | st.floats(10.0, 16.0), min_size=R - 1, max_size=R - 1)
+    )
+    max_rank = draw(st.none() | st.integers(1, R))
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((d, R)))[0].T
+    rotation = np.linalg.qr(rng.standard_normal((R, R)))[0]
+    Y = whiten(rng.standard_normal((N, R))) * np.sqrt(10.0 ** -np.array(exponents)) @ rotation
+    return DoState(t=0.25, U=U, Y=Y), max_rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(_planted_states())
+def test_truncate_properties(case):
+    state, max_rank = case
+    new_state, event = truncate(state, max_rank=max_rank)
+    assert event.old_rank == state.rank
+    assert new_state is not None and new_state.rank == event.new_rank >= 1
+    if max_rank is not None:
+        assert new_state.rank <= max_rank
+    U1 = new_state.U
+    assert np.abs(U1 @ U1.T - np.eye(U1.shape[0])).max() < 1e-12
+    # the truncation error is the square root of the discarded spectral mass
+    err_sq = kernels.mean_sq_norm(new_state.product() - state.product())
+    assert err_sq == pytest.approx(event.discarded_mass, rel=1e-10, abs=1e-14)
+    # with clear eigen-gaps, rank and basis match the d x d second-moment path
+    vals = event.singular_values
+    keep = event.new_rank
+    threshold = 1e-8 * np.sum(vals)
+    edges = np.append(vals[:keep], vals[keep] if keep < len(vals) else -np.inf)
+    if np.all(-np.diff(edges) > 1e-6 * vals[0]) and np.all(np.abs(vals - threshold) > 1e-6 * threshold):
+        fac = kernels.second_moment_svd(state.product(), rel_threshold=1e-8)
+        assert min(fac.rank, max_rank or fac.rank) == keep
+        np.testing.assert_allclose(U1.T, fac.Q[:, :keep], atol=1e-8)
 
 
 def test_restart_policy_full_cycle_on_planted_collapse():
@@ -140,6 +188,18 @@ def test_restart_policy_budget_exhaustion():
     new_state, event = policy.restart(state)
     assert new_state is None
     assert event.t_event == 0.25
+    # a halt reports the untruncated spectrum and the measured inverse norm
+    assert event.old_rank == event.new_rank == 2
+    assert event.inv_norm_at_event == kernels.gram(Y).inv_frobenius
+
+
+@pytest.mark.parametrize("scheme", ["reference", "ambient"])
+def test_policy_needs_the_do_scheme(scheme):
+    model = builtin("ou", d=4)
+    init = default_initial(model, N=16, R=2, seed=0)
+    path = paths.generate(0, 5, 0.01, 16, model.m)
+    with pytest.raises(ShapeMismatch):
+        integrate(model, init, scheme, 0.05, 0.01, path, policy=RestartPolicy(model))
 
 
 def test_restart_policy_forces_rank_reduction():
