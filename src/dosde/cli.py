@@ -98,6 +98,9 @@ def _write_run_outputs(out_dir, cfg, traj, wall_time, command):
 
 
 def _write_manifest(out_dir, cfg, wall_time, command):
+    import numpy
+    import scipy
+
     from .config import config_hash
 
     with open(os.path.join(out_dir, "manifest.txt"), "w", encoding="utf-8") as fh:
@@ -105,6 +108,8 @@ def _write_manifest(out_dir, cfg, wall_time, command):
         fh.write("command = %s\n" % command)
         fh.write("config_hash = %s\n" % config_hash(cfg))
         fh.write("seed = %d\n" % cfg.seed)
+        fh.write("numpy = %s\n" % numpy.__version__)
+        fh.write("scipy = %s\n" % scipy.__version__)
         fh.write("wall_time_s = %.3f\n" % wall_time)
 
 

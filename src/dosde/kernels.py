@@ -9,7 +9,11 @@ N x R matrix (one row per atom), and expectations are plain averages,
 so Gram matrices, projectors and low-rank factorizations below are exact
 linear algebra on sample matrices.  All reductions over atoms go through
 a fixed-shape pairwise summation tree, which makes results independent
-of how the work is scheduled.
+of how the work is scheduled.  ``mean_outer`` runs that tree blockwise:
+aligned blocks of 2^k atoms are exactly the tree's nodes, so it reduces
+one block at a time (2^k * p * q <= 2^15 elements) and merges the block
+sums as the tree does, with the same bits as the whole-tensor tree and
+about 2^15 + log2(N / 2^k) * p * q temporary elements instead of N * p * q.
 
 The second half of the module collects the closed-form scalar bounds
 used by the well-posedness and explosion machinery: the invertibility
@@ -35,6 +39,10 @@ from .errors import (
 # lambda_min > EPS_RANK * trace.
 EPS_RANK = 1e-10
 
+# Elements of one block of products in ``mean_outer``: blocks of 2^k atoms
+# with 2^k * p * q at most this many stay cache-resident.
+_BLOCK_ELEMENTS = 2**15
+
 
 def pairwise_sum(values, axis=0):
     """Sum along ``axis`` with a fixed-shape pairwise tree.
@@ -43,18 +51,33 @@ def pairwise_sum(values, axis=0):
     depends only on the axis length.  Bit-identical results regardless
     of threading or chunking, and better rounding than a running sum.
     """
-    a = np.asarray(values, dtype=float)
-    if a.shape[axis] == 0:
+    a = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    n = a.shape[0]
+    if n == 0:
         raise InvalidEnsemble("cannot reduce an empty axis")
-    a = np.moveaxis(a, axis, 0)
-    while a.shape[0] > 1:
-        n = a.shape[0]
-        m = n // 2
-        s = a[0 : 2 * m : 2] + a[1 : 2 * m : 2]
-        if n % 2:
-            s = np.concatenate([s, a[n - 1 : n]], axis=0)
-        a = s
-    return a[0]
+    buf = np.empty(((n + 1) // 2,) + a.shape[1:])
+    n = _halve(a, n, buf)
+    return _tree(buf, n, np.empty_like(buf[: (n + 1) // 2])).copy()
+
+
+def _halve(src, n, out):
+    """One tree level over axis 0: out[i] = src[2i] + src[2i+1], with an
+    odd last row carried unchanged.  Returns the new length."""
+    m = n // 2
+    np.add(src[0 : 2 * m : 2], src[1 : 2 * m : 2], out=out[:m])
+    if n % 2:
+        out[m] = src[n - 1]
+    return m + n % 2
+
+
+def _tree(cur, n, other):
+    """Reduce cur[:n] over axis 0 with the pairwise tree, writing the
+    levels alternately into ``other`` (at least ceil(n/2) rows) and
+    ``cur``; both are overwritten.  Returns the sum as a view of one."""
+    while n > 1:
+        n = _halve(cur, n, other)
+        cur, other = other, cur
+    return cur[0]
 
 
 def ensemble_mean(values, axis=0):
@@ -64,14 +87,49 @@ def ensemble_mean(values, axis=0):
 
 
 def mean_outer(A, B):
-    """E[A B^T] for ensembles A (N x p) and B (N x q), shape (p, q)."""
+    """E[A B^T] for ensembles A (N x p) and B (N x q), shape (p, q).
+
+    Bit-identical to ``ensemble_mean(A[:, :, None] * B[:, None, :])``
+    without the N x p x q tensor.  Aligned blocks of 2^k atoms (the
+    largest 2^k >= 2 with 2^k * p * q <= _BLOCK_ELEMENTS) are nodes of
+    that tree, and a short last block is reduced as the tree reduces its
+    tail.  Each block is reduced in two buffers, with the tree's first
+    level fused into the products; block sums are merged as soon as
+    their tree sibling is done, and the nodes left at the end (sizes
+    falling, as the tree carries an odd tail) are folded from the right.
+    """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.shape[0] != B.shape[0]:
         raise ShapeMismatch(
             "atom counts differ: %d vs %d" % (A.shape[0], B.shape[0])
         )
-    return ensemble_mean(A[:, :, None] * B[:, None, :])
+    n, p, q = A.shape[0], A.shape[1], B.shape[1]
+    if n == 0:
+        raise InvalidEnsemble("cannot reduce an empty axis")
+    block = 2
+    while 2 * block * p * q <= _BLOCK_ELEMENTS:
+        block *= 2
+    half = (min(block, n) + 1) // 2
+    even, odd = np.empty((half, p, q)), np.empty((half, p, q))
+    A, B = A[:, :, None], B[:, None, :]
+    nodes = []  # (level, sum over block * 2^level atoms), levels falling
+    for s in range(0, n, block):
+        size = min(block, n - s)
+        m = size // 2
+        np.multiply(A[s : s + 2 * m : 2], B[s : s + 2 * m : 2], out=even[:m])
+        np.multiply(A[s + 1 : s + 2 * m : 2], B[s + 1 : s + 2 * m : 2], out=odd[:m])
+        np.add(even[:m], odd[:m], out=even[:m])
+        if size % 2:
+            np.multiply(A[s + size - 1], B[s + size - 1], out=even[m])
+        level, node = 0, _tree(even, m + size % 2, odd).copy()
+        while nodes and nodes[-1][0] == level:
+            level, node = level + 1, nodes.pop()[1] + node
+        nodes.append((level, node))
+    total = nodes.pop()[1]
+    while nodes:
+        total = nodes.pop()[1] + total
+    return total / n
 
 
 def mean_sq_norm(A):

@@ -7,7 +7,8 @@ level above its starting value; a hard cap (default 1e8 x the starting
 norm) or an outright inversion failure declares an explosion.  At that
 point the ensemble is re-factored by spectral truncation of E[X X^T],
 read off the R x R coefficient Gram, and the run restarts at a strictly
-smaller rank, with the Brownian counters continuing where they left off.
+smaller rank (at rank 1, whose Gram is still invertible, it re-factors at
+rank 1), with the Brownian counters continuing where they left off.
 """
 
 import math
@@ -194,10 +195,15 @@ class RestartPolicy:
 
     def restart(self, state):
         """Truncate at the event to a strictly smaller rank; returns
-        (new state or None, RankEvent).  A halt (no mode kept, or the
-        restart budget spent) reports the untruncated spectrum."""
+        (new state or None, RankEvent).  When no smaller rank keeps a mode
+        but the Gram is invertible (a cap crossing at rank 1), re-factor
+        at the kept rank instead.  Either way one unit of the restart
+        budget is used.  A halt (singular Gram with no mode kept, or the
+        budget spent) reports the untruncated spectrum."""
         if self.restarts < self.max_restarts:
             new_state, event = truncate(state, self.sv_tolerance, max_rank=state.rank - 1)
+            if new_state is None and math.isfinite(event.inv_norm_at_event):
+                new_state, event = truncate(state, self.sv_tolerance)
             if new_state is not None:
                 self.restarts += 1
                 return new_state, event

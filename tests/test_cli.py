@@ -5,7 +5,9 @@ import os
 import subprocess
 import sys
 
+import numpy
 import pytest
+import scipy
 
 BASE = """
 model.name = ou
@@ -57,6 +59,8 @@ def test_simulate_outputs(tmp_path):
     manifest = (out / "manifest.txt").read_text()
     for key in ("build = ", "command = simulate", "config_hash = ", "seed = 11", "wall_time_s = "):
         assert key in manifest, key
+    assert "numpy = %s\n" % numpy.__version__ in manifest
+    assert "scipy = %s\n" % scipy.__version__ in manifest
 
 
 def test_simulate_out_flag_overrides(tmp_path):
@@ -103,6 +107,32 @@ run.out_dir = {out}
     proc = _run("simulate", cfg)
     assert proc.returncode == 3
     assert "numerical failure" in proc.stderr
+
+
+def test_rank_one_cap_crossing_restarts_and_completes(tmp_path):
+    # A low cap makes the inverse-Gram norm cross it at rank 1 with the
+    # Gram still invertible: the run re-factors at rank 1 and goes on.
+    text = """
+model.name = ou
+model.sigma = 0.3
+run.dim = 16
+run.scheme = do
+run.t_end = 1
+run.dt = 0.01
+run.n_atoms = 256
+run.rank = 4
+run.seed = 0
+run.record_stride = 10
+monitor.gamma_cap_factor = 1.3
+run.out_dir = {out}
+""".format(out=tmp_path / "out")
+    proc = _run("simulate", _write(tmp_path, text))
+    assert proc.returncode == 0, proc.stderr
+    events = _rows(tmp_path / "out" / "events.csv")
+    assert [(e["old_rank"], e["new_rank"]) for e in events][:3] == [("4", "3"), ("3", "2"), ("2", "1")]
+    assert any(e["old_rank"] == e["new_rank"] == "1" for e in events)
+    traj = _rows(tmp_path / "out" / "trajectory.csv")
+    assert float(traj[-1]["t"]) == 1.0
 
 
 def test_compare_reports_levels(tmp_path):

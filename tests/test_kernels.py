@@ -5,7 +5,9 @@ independent sympy/mpmath session) before the implementation existed;
 they pin the formulas, not the code.
 """
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +57,112 @@ def test_mean_outer_hand_example():
     B = np.array([[2.0], [4.0]])
     # E[A B^T] = (1/2) sum_i a_i b_i^T = [[1], [2]]
     assert np.array_equal(kernels.mean_outer(A, B), np.array([[1.0], [2.0]]))
+
+
+def _old_pairwise_sum(values, axis=0):
+    """The whole-array pairwise tree that the blocked kernels must match."""
+    a = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    while a.shape[0] > 1:
+        n = a.shape[0]
+        m = n // 2
+        s = a[0 : 2 * m : 2] + a[1 : 2 * m : 2]
+        if n % 2:
+            s = np.concatenate([s, a[n - 1 : n]], axis=0)
+        a = s
+    return a[0]
+
+
+def _sha(x):
+    return hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest()
+
+
+def _integer_ensemble(n, k, mult, mod):
+    # integer arithmetic and one IEEE division: the same bits on any BLAS
+    return (((np.arange(n * k) * mult) % mod) / float(mod) - 0.5).reshape(n, k)
+
+
+# SHA-256 of mean_outer(A, B), mean_outer(A, A) and the pairwise sum of the
+# N x p x q product tensor, recorded with the whole-tensor tree.
+_GOLDEN = {
+    (4096, 8, 64): (
+        "183120dcd6457b4850dfc6998af7724d64c4c1c55d4a93fa3410fb43bcb240be",
+        "01e6fd6b086a4d3931a1f74b595e76a26d353f07b41bce6bda29139b2540015a",
+        "ea19d1eea4caa807912d2ee47547cf87fbc8048a047ca9b3d08e69a2f5ea2b4f",
+    ),
+    (1024, 32, 32): (
+        "c22a9e5e574bc27e05d35ff0e47757e72c9b2789f98fd3b10039519326b081e5",
+        "9e3d4962fbffabf474fdfd930771d6909b8e8ab542ba7fdf786395bd68ddd6f0",
+        "3095293adb615db515e7d2c8235551b9a00029c9b545f82e1c97776863f43838",
+    ),
+    (2049, 8, 64): (
+        "4d9906e4f3b94df588d65fed785338e09a8a22545f1405dfbd6cac02fe1f6488",
+        "0550dc45841b671089c1b71c765a576e576d8834fe6adf07611f262580406ce8",
+        "3b62231070bb26683d0913b02cd87e277bd39a521b3c58113e87fce9ad6286e3",
+    ),
+    (37, 3, 5): (
+        "5fa02f5764fd244463905b05c1b521c526190eb62ae3cdb9b332a076b1d5d537",
+        "63ade2fd58415b03037ccc042d398f8133fe8379add513dbb587625664b4044e",
+        "8ac054ddbc3b8d4552f7d40b890669423bffb9e011a98b5382687e15fed33c56",
+    ),
+    (1, 3, 3): (
+        "a487bfe24e1fd63ef16a2eb76f8753cef509999dca88ecda308b2326ae30eca0",
+        "ab2c70c765495d2abe47d9d53e3d3119160169c2ef5af26661e44963163b832e",
+        "a487bfe24e1fd63ef16a2eb76f8753cef509999dca88ecda308b2326ae30eca0",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_GOLDEN), ids=lambda s: "x".join(map(str, s)))
+def test_reductions_match_golden_bits(shape):
+    N, p, q = shape
+    A = _integer_ensemble(N, p, 7919, 1009)
+    B = _integer_ensemble(N, q, 104729, 1013)
+    outer, gram, tree = _GOLDEN[shape]
+    assert _sha(kernels.mean_outer(A, B)) == outer
+    assert _sha(kernels.mean_outer(A, A)) == gram
+    assert _sha(kernels.pairwise_sum(A[:, :, None] * B[:, None, :], axis=0)) == tree
+    assert _sha(kernels.pairwise_sum(A.T[:, None, :] * B.T[None, :, :], axis=2)) == tree
+
+
+# Atom counts around powers of two, where blocks and tree tails meet.
+_ATOM_COUNTS = st.one_of(
+    st.integers(min_value=1, max_value=4100),
+    st.builds(
+        lambda k, off: 2**k + off, st.integers(min_value=0, max_value=12), st.sampled_from([-1, 0, 1])
+    ).filter(lambda n: n >= 1),
+)
+
+
+@given(
+    _ATOM_COUNTS,
+    st.integers(min_value=1, max_value=16),
+    st.integers(min_value=1, max_value=16),
+    st.integers(min_value=0, max_value=2**31),
+)
+@settings(max_examples=60, deadline=None)
+def test_blocked_reductions_match_the_whole_tree(n, p, q, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, p)) * rng.uniform(0.1, 10.0, size=p)
+    B = rng.standard_normal((n, q))
+    product = A[:, :, None] * B[:, None, :]
+    assert kernels.mean_outer(A, B).tobytes() == (_old_pairwise_sum(product) / n).tobytes()
+    C = kernels.mean_outer(A, A)
+    assert np.array_equal(C, C.T)
+    assert kernels.pairwise_sum(product, axis=1).tobytes() == _old_pairwise_sum(product, axis=1).tobytes()
+
+
+def test_mean_outer_allocates_no_product_tensor():
+    N, p, q = 4096, 64, 64
+    A = _integer_ensemble(N, p, 7919, 1009)
+    B = _integer_ensemble(N, q, 104729, 1013)
+    tensor_bytes = N * p * q * 8
+    tracemalloc.start()
+    try:
+        kernels.mean_outer(A, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tensor_bytes / 8
 
 
 def test_as_ensemble_rejects_bad_input():

@@ -193,6 +193,23 @@ def test_restart_policy_budget_exhaustion():
     assert event.inv_norm_at_event == kernels.gram(Y).inv_frobenius
 
 
+def test_restart_policy_refactors_rank_one_at_cap():
+    # No smaller rank exists, but the Gram is invertible: re-factor at
+    # rank 1 and spend one restart; with no budget left, halt.
+    model = builtin("ou", d=4)
+    init = default_initial(model, N=64, R=1, seed=3)
+    state = DoState(t=0.1, U=init.U, Y=init.Y)
+    policy = RestartPolicy(model, max_restarts=1)
+    policy.attach(state)
+    new_state, event = policy.restart(state)
+    assert new_state is not None and new_state.rank == 1
+    assert event.old_rank == event.new_rank == 1
+    assert policy.restarts == 1
+    np.testing.assert_allclose(new_state.product(), state.product(), rtol=1e-12, atol=1e-14)
+    halted, event = policy.restart(new_state)
+    assert halted is None and event.new_rank == 1
+
+
 @pytest.mark.parametrize("scheme", ["reference", "ambient"])
 def test_policy_needs_the_do_scheme(scheme):
     model = builtin("ou", d=4)
