@@ -4,8 +4,8 @@ explosion-study, plus a --self-test invariant suite.
 Exit codes: 0 success, 2 config error, 3 numerical failure (including a
 run that stopped before t_end; its outputs are still written), 4
 self-test failure.  All CSV output uses 17 significant digits, so reruns
-of the same config are byte-identical; the wall-time line lives only in
-manifest.txt.
+of the same config are byte-identical; the wall-time and peak-RSS lines
+live only in manifest.txt.
 """
 
 import argparse
@@ -94,10 +94,18 @@ def _write_run_outputs(out_dir, cfg, traj, wall_time, command):
             for e in traj.events
         ],
     )
-    _write_manifest(out_dir, cfg, wall_time, command)
+    _write_manifest(out_dir, cfg, wall_time, command, traj)
 
 
-def _write_manifest(out_dir, cfg, wall_time, command):
+def _peak_rss_mb():
+    """Peak resident set size of this process so far, in MiB."""
+    import resource
+
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20) if sys.platform == "darwin" else peak / 1024  # bytes vs KiB
+
+
+def _write_manifest(out_dir, cfg, wall_time, command, traj=None):
     import numpy
     import scipy
 
@@ -111,6 +119,10 @@ def _write_manifest(out_dir, cfg, wall_time, command):
         fh.write("numpy = %s\n" % numpy.__version__)
         fh.write("scipy = %s\n" % scipy.__version__)
         fh.write("wall_time_s = %.3f\n" % wall_time)
+        fh.write("peak_rss_mb = %.1f\n" % _peak_rss_mb())
+        if traj is not None:
+            fh.write("completed = %s\n" % ("true" if traj.completed else "false"))
+            fh.write("t_reached = %s\n" % _fmt(traj.diag[-1].t))
 
 
 def _exit_status(t_end, *trajs):
@@ -180,33 +192,35 @@ def cmd_compare(cfg, out_dir):
     initial = default_initial(model, cfg.n_atoms, cfg.rank, seed=cfg.seed)
     levels = cfg.compare_levels
     n0 = int(round(cfg.t_end / cfg.dt))
-    rows = []
-    sup_errors = []
-    trajs = []
-    for lvl in range(levels):
+    # All levels resolve the same finest grid: nested common noise.  It
+    # is drawn once, finest level first; each coarser level is its
+    # pairwise sum, so at most two levels' increments are held at once.
+    top = levels - 1
+    path = paths.generate(cfg.seed, n0 << top, cfg.dt / (1 << top), cfg.n_atoms, model.m)
+    path.increments  # draw it once for both schemes and the next level
+    sup_errors = [0.0] * levels
+    trajs = [None] * levels
+    for lvl in reversed(range(levels)):
+        if lvl < top:
+            path = path.coarsened()
         dt_l = cfg.dt / (1 << lvl)
-        n_l = n0 << lvl
-        # All levels resolve the same finest grid: nested common noise.
-        path = paths.generate(
-            cfg.seed, n_l, dt_l, cfg.n_atoms, model.m, level=levels - 1 - lvl
-        )
         traj_a = integrate(model, initial, cfg.scheme, cfg.t_end, dt_l, path, R=cfg.rank)
         traj_b = integrate(
             model, initial, cfg.compare_scheme_b, cfg.t_end, dt_l, path, R=cfg.rank
         )
-        trajs += [traj_a, traj_b]
-        sup = 0.0
+        trajs[lvl] = (traj_a, traj_b)
         for sa, sb in zip(traj_a.states, traj_b.states):
-            sup = max(sup, l2_distance(sa.product(), sb.product()))
-        sup_errors.append(sup)
+            sup_errors[lvl] = max(sup_errors[lvl], l2_distance(sa.product(), sb.product()))
+    rows = []
+    for lvl, sup in enumerate(sup_errors):
         rate = (
-            float(np.log2(sup_errors[-2] / sup)) if lvl > 0 and sup > 0 else float("nan")
+            float(np.log2(sup_errors[lvl - 1] / sup)) if lvl > 0 and sup > 0 else float("nan")
         )
-        rows.append((lvl, dt_l, sup, rate))
+        rows.append((lvl, cfg.dt / (1 << lvl), sup, rate))
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, "error_report.csv"), "level,dt,sup_error,rate_vs_prev", rows)
     _write_manifest(out_dir, cfg, time.perf_counter() - start, "compare")
-    return _exit_status(cfg.t_end, *trajs)
+    return _exit_status(cfg.t_end, *(traj for pair in trajs for traj in pair))
 
 
 def cmd_picard_demo(cfg, out_dir):

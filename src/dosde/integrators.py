@@ -239,8 +239,9 @@ def integrate(
     initial : InitialDatum
         Must be factored for "do"; full or factored otherwise.
     path : BrownianPath
-        Supplies increments; must cover ceil(t_end/dt) steps with
-        matching atom and channel counts.
+        Supplies increments one step at a time (``path.increment(k)``,
+        streamed in bounded chunks); must cover ceil(t_end/dt) steps
+        with matching atom and channel counts.
     policy : optional rank/restart hook ("do" only) with methods ``attach(state)``,
         ``observe(t, inv_frobenius, y_norm_sq)``, ``should_restart(report)``
         and ``restart(state) -> (DoState | None, RankEvent)``.
@@ -295,7 +296,7 @@ def integrate(
     k = 0
     while k < n_steps:
         try:
-            state, report = step(model, state, path.increments[k], dt)
+            state, report = step(model, state, path.increment(k), dt)
         except SingularGram as err:
             # Failure row at the current time; a restart retries this
             # same increment (Brownian counters continue).

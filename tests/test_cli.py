@@ -61,6 +61,34 @@ def test_simulate_outputs(tmp_path):
         assert key in manifest, key
     assert "numpy = %s\n" % numpy.__version__ in manifest
     assert "scipy = %s\n" % scipy.__version__ in manifest
+    fields = _manifest(out / "manifest.txt")
+    assert 0.0 < float(fields["peak_rss_mb"]) < 1 << 20
+    assert fields["completed"] == "true"
+    assert float(fields["t_reached"]) == pytest.approx(0.05, rel=1e-12)
+
+
+def _manifest(path):
+    with open(path, encoding="utf-8") as fh:
+        return dict(line.rstrip("\n").split(" = ", 1) for line in fh)
+
+
+def test_manifest_reports_a_shortened_run(tmp_path):
+    # Without a restart policy the factored run halts at the planted
+    # collinearity t_star = 1, short of t_end = 1.2.
+    from dosde import cli, paths
+    from dosde.config import parse_config
+    from dosde.integrators import integrate
+    from dosde.models import builtin, default_initial
+
+    cfg = parse_config("model.name = mode_crossing\nmodel.t_star = 1.0\nrun.dim = 4\n")
+    model = builtin("mode_crossing", t_star=1.0, d=4)
+    init = default_initial(model, 64, 2, seed=0)
+    traj = integrate(model, init, "do", 1.2, 1e-2, paths.generate(0, 120, 1e-2, 64, model.m))
+    assert not traj.completed
+    cli._write_run_outputs(str(tmp_path), cfg, traj, 0.0, "simulate")
+    fields = _manifest(tmp_path / "manifest.txt")
+    assert fields["completed"] == "false"
+    assert float(fields["t_reached"]) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_simulate_out_flag_overrides(tmp_path):
@@ -244,6 +272,9 @@ picard.grid = 16
     assert len(rows) == 5
     sups = [float(r["sup_difference"]) for r in rows]
     assert all(b <= 0.5 * a for a, b in zip(sups, sups[1:]))
+    # every command reports its peak RSS; only integrating runs report completion
+    fields = _manifest(tmp_path / "out" / "manifest.txt")
+    assert float(fields["peak_rss_mb"]) > 0.0 and "completed" not in fields
 
 
 def test_lipschitz_harness_outputs(tmp_path):
@@ -284,6 +315,10 @@ run.out_dir = {out}
     events = _rows(tmp_path / "out" / "events.csv")
     assert len(events) == 1
     assert events[0]["old_rank"] == "2" and events[0]["new_rank"] == "1"
+    fields = _manifest(tmp_path / "out" / "manifest.txt")
+    assert fields["completed"] == "true"
+    assert float(fields["t_reached"]) == pytest.approx(1.2, rel=1e-12)
+    assert float(fields["peak_rss_mb"]) > 0.0
 
 
 def test_self_test_passes():
