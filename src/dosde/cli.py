@@ -105,6 +105,25 @@ def _peak_rss_mb():
     return peak / (1 << 20) if sys.platform == "darwin" else peak / 1024  # bytes vs KiB
 
 
+def _blas_info():
+    """(CPU kernel name, thread count) of the OpenBLAS that numpy loaded,
+    read through its exported getters; "unknown" for other BLAS builds.
+    Output bits may differ between OpenBLAS kernels, never thread counts."""
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        core = lib.scipy_openblas_get_corename64_
+        threads = lib.scipy_openblas_get_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return "unknown", "unknown"
+    core.argtypes, core.restype = [], ctypes.c_char_p
+    threads.argtypes, threads.restype = [], ctypes.c_int
+    return core().decode(), str(threads())
+
+
 def _write_manifest(out_dir, cfg, wall_time, command, traj=None):
     import numpy
     import scipy
@@ -118,6 +137,7 @@ def _write_manifest(out_dir, cfg, wall_time, command, traj=None):
         fh.write("seed = %d\n" % cfg.seed)
         fh.write("numpy = %s\n" % numpy.__version__)
         fh.write("scipy = %s\n" % scipy.__version__)
+        fh.write("blas_core = %s\nblas_threads = %s\n" % _blas_info())
         fh.write("wall_time_s = %.3f\n" % wall_time)
         fh.write("peak_rss_mb = %.1f\n" % _peak_rss_mb())
         if traj is not None:
@@ -179,12 +199,32 @@ def cmd_simulate(cfg, out_dir):
     return _exit_status(cfg.t_end, traj)
 
 
+def _compare_level(cfg, model, initial, dt, path):
+    """Run both compared schemes on one grid.  Returns the sup over
+    recorded times of their L2 distance, and each run stripped to what
+    ``_exit_status`` reads (scheme, ``completed`` and the last event), so
+    no level's recorded states outlive it."""
+    from dataclasses import replace
+
+    from .diagnostics import l2_distance
+    from .integrators import integrate
+
+    runs = [
+        integrate(model, initial, scheme, cfg.t_end, dt, path, R=cfg.rank)
+        for scheme in (cfg.scheme, cfg.compare_scheme_b)
+    ]
+    sup = 0.0
+    for sa, sb in zip(runs[0].states, runs[1].states):
+        sup = max(sup, l2_distance(sa.product(), sb.product()))
+    return sup, [
+        replace(run, times=[], states=[], diag=[], events=run.events[-1:]) for run in runs
+    ]
+
+
 def cmd_compare(cfg, out_dir):
     import numpy as np
 
     from . import paths
-    from .diagnostics import l2_distance
-    from .integrators import integrate
     from .models import default_initial
 
     start = time.perf_counter()
@@ -199,18 +239,13 @@ def cmd_compare(cfg, out_dir):
     path = paths.generate(cfg.seed, n0 << top, cfg.dt / (1 << top), cfg.n_atoms, model.m)
     path.increments  # draw it once for both schemes and the next level
     sup_errors = [0.0] * levels
-    trajs = [None] * levels
+    outcomes = [None] * levels
     for lvl in reversed(range(levels)):
         if lvl < top:
             path = path.coarsened()
-        dt_l = cfg.dt / (1 << lvl)
-        traj_a = integrate(model, initial, cfg.scheme, cfg.t_end, dt_l, path, R=cfg.rank)
-        traj_b = integrate(
-            model, initial, cfg.compare_scheme_b, cfg.t_end, dt_l, path, R=cfg.rank
+        sup_errors[lvl], outcomes[lvl] = _compare_level(
+            cfg, model, initial, cfg.dt / (1 << lvl), path
         )
-        trajs[lvl] = (traj_a, traj_b)
-        for sa, sb in zip(traj_a.states, traj_b.states):
-            sup_errors[lvl] = max(sup_errors[lvl], l2_distance(sa.product(), sb.product()))
     rows = []
     for lvl, sup in enumerate(sup_errors):
         rate = (
@@ -220,7 +255,7 @@ def cmd_compare(cfg, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, "error_report.csv"), "level,dt,sup_error,rate_vs_prev", rows)
     _write_manifest(out_dir, cfg, time.perf_counter() - start, "compare")
-    return _exit_status(cfg.t_end, *(traj for pair in trajs for traj in pair))
+    return _exit_status(cfg.t_end, *(run for pair in outcomes for run in pair))
 
 
 def cmd_picard_demo(cfg, out_dir):

@@ -7,13 +7,14 @@ N x R matrix (one row per atom), and expectations are plain averages,
     E[f g] = (1/N) * sum_i f_i * g_i,
 
 so Gram matrices, projectors and low-rank factorizations below are exact
-linear algebra on sample matrices.  All reductions over atoms go through
-a fixed-shape pairwise summation tree, which makes results independent
-of how the work is scheduled.  ``mean_outer`` runs that tree blockwise:
-aligned blocks of 2^k atoms are exactly the tree's nodes, so it reduces
-one block at a time (2^k * p * q <= 2^15 elements) and merges the block
-sums as the tree does, with the same bits as the whole-tensor tree and
-about 2^15 + log2(N / 2^k) * p * q temporary elements instead of N * p * q.
+linear algebra on sample matrices.  Reductions over atoms use a fixed
+order that depends only on N, never on how the work is scheduled.
+``pairwise_sum`` is a fixed-shape pairwise tree.  ``mean_outer`` cuts
+the atoms into aligned leaves of ``_LEAF`` atoms, reduces each leaf with
+one BLAS product and sums the leaf results with the pairwise tree: its
+bits are the same across reruns and BLAS thread counts (OpenBLAS splits
+a product over output entries, not over the summed axis), but may change
+with the CPU kernel OpenBLAS selects.
 
 The second half of the module collects the closed-form scalar bounds
 used by the well-posedness and explosion machinery: the invertibility
@@ -39,9 +40,9 @@ from .errors import (
 # lambda_min > EPS_RANK * trace.
 EPS_RANK = 1e-10
 
-# Elements of one block of products in ``mean_outer``: blocks of 2^k atoms
-# with 2^k * p * q at most this many stay cache-resident.
-_BLOCK_ELEMENTS = 2**15
+# Atoms per leaf of ``mean_outer``: one BLAS product each, so the
+# partition, and with it the summation order, depends only on N.
+_LEAF = 256
 
 
 def pairwise_sum(values, axis=0):
@@ -89,47 +90,27 @@ def ensemble_mean(values, axis=0):
 def mean_outer(A, B):
     """E[A B^T] for ensembles A (N x p) and B (N x q), shape (p, q).
 
-    Bit-identical to ``ensemble_mean(A[:, :, None] * B[:, None, :])``
-    without the N x p x q tensor.  Aligned blocks of 2^k atoms (the
-    largest 2^k >= 2 with 2^k * p * q <= _BLOCK_ELEMENTS) are nodes of
-    that tree, and a short last block is reduced as the tree reduces its
-    tail.  Each block is reduced in two buffers, with the tree's first
-    level fused into the products; block sums are merged as soon as
-    their tree sibling is done, and the nodes left at the end (sizes
-    falling, as the tree carries an odd tail) are folded from the right.
+    Aligned leaves of ``_LEAF`` atoms (the last may be shorter) are each
+    reduced by one product A_leaf^T B_leaf, and the leaf results are
+    summed with ``pairwise_sum``.  Inputs are made C-contiguous first,
+    so the bits do not depend on their memory layout (numpy takes other
+    code paths for some strided operands).  ``mean_outer(Y, Y)`` is
+    exactly symmetric: on one buffer numpy computes X^T X with syrk.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
+    same = B is A
+    A = np.ascontiguousarray(A, dtype=float)
+    B = A if same else np.ascontiguousarray(B, dtype=float)
     if A.shape[0] != B.shape[0]:
         raise ShapeMismatch(
             "atom counts differ: %d vs %d" % (A.shape[0], B.shape[0])
         )
-    n, p, q = A.shape[0], A.shape[1], B.shape[1]
+    n = A.shape[0]
     if n == 0:
         raise InvalidEnsemble("cannot reduce an empty axis")
-    block = 2
-    while 2 * block * p * q <= _BLOCK_ELEMENTS:
-        block *= 2
-    half = (min(block, n) + 1) // 2
-    even, odd = np.empty((half, p, q)), np.empty((half, p, q))
-    A, B = A[:, :, None], B[:, None, :]
-    nodes = []  # (level, sum over block * 2^level atoms), levels falling
-    for s in range(0, n, block):
-        size = min(block, n - s)
-        m = size // 2
-        np.multiply(A[s : s + 2 * m : 2], B[s : s + 2 * m : 2], out=even[:m])
-        np.multiply(A[s + 1 : s + 2 * m : 2], B[s + 1 : s + 2 * m : 2], out=odd[:m])
-        np.add(even[:m], odd[:m], out=even[:m])
-        if size % 2:
-            np.multiply(A[s + size - 1], B[s + size - 1], out=even[m])
-        level, node = 0, _tree(even, m + size % 2, odd).copy()
-        while nodes and nodes[-1][0] == level:
-            level, node = level + 1, nodes.pop()[1] + node
-        nodes.append((level, node))
-    total = nodes.pop()[1]
-    while nodes:
-        total = nodes.pop()[1] + total
-    return total / n
+    leaves = np.empty((-(-n // _LEAF), A.shape[1], B.shape[1]))
+    for i, s in enumerate(range(0, n, _LEAF)):
+        np.matmul(A[s : s + _LEAF].T, B[s : s + _LEAF], out=leaves[i])
+    return pairwise_sum(leaves) / n
 
 
 def mean_sq_norm(A):
@@ -185,8 +166,9 @@ def gram(Y):
     """
     Y = as_ensemble(Y, "Y")
     C = mean_outer(Y, Y)
-    # The pairwise tree visits (j,k) and (k,j) in the same order, so C is
-    # exactly symmetric; eigh needs no symmetrization.
+    # Each leaf Y^T Y is a syrk product, exactly symmetric, and the tree
+    # adds (j,k) and (k,j) alike, so C is exactly symmetric; eigh needs
+    # no symmetrization.
     vals, vecs, threshold, inv = _eigh_inverse(C)
     return GramReport(
         gram=C,

@@ -113,13 +113,15 @@ def truncate(state, sv_tolerance=DEFAULT_SV_TOLERANCE, max_rank=None):
     U^T v_k for the eigenpairs (gamma_k, v_k) of C_Y.  Keeps the modes
     with gamma_k > ``sv_tolerance * trace``, at most ``max_rank`` of them;
     with Q = U^T V_keep (signs fixed) the new state is U' = Q^T, Y' = X Q,
-    whose reconstruction error is the square root of the discarded mass.
+    whose reconstruction error is the square root of the discarded mass
+    E|Y V_drop|^2, measured directly on the dropped eigenvectors rather
+    than as a trace difference, which would cancel to about eps * trace.
     Returns (DoState, or None when no mode is kept, RankEvent).
     """
     rep = kernels.gram(state.Y)
     # Stable sort keeps the ascending-index order of tied eigenvalues.
     order = np.argsort(-rep.eigenvalues, kind="stable")
-    vals = rep.eigenvalues[order]
+    vals, V = rep.eigenvalues[order], rep.eigenvectors[:, order]
     trace = float(np.trace(rep.gram))
     keep = int(np.count_nonzero(vals > sv_tolerance * max(trace, 0.0)))
     if max_rank is not None:
@@ -129,12 +131,12 @@ def truncate(state, sv_tolerance=DEFAULT_SV_TOLERANCE, max_rank=None):
         singular_values=vals,
         old_rank=state.rank,
         new_rank=keep,
-        discarded_mass=max(trace - float(np.sum(vals[:keep])), 0.0),
+        discarded_mass=kernels.mean_sq_norm(state.Y @ V[:, keep:]),
         inv_norm_at_event=rep.inv_frobenius,
     )
     if keep == 0:
         return None, event
-    Q = kernels.fix_signs(state.U.T @ rep.eigenvectors[:, order[:keep]])
+    Q = kernels.fix_signs(state.U.T @ V[:, :keep])
     return DoState(t=state.t, U=Q.T.copy(), Y=state.product() @ Q), event
 
 

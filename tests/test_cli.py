@@ -62,6 +62,16 @@ def test_simulate_outputs(tmp_path):
     assert "numpy = %s\n" % numpy.__version__ in manifest
     assert "scipy = %s\n" % scipy.__version__ in manifest
     fields = _manifest(out / "manifest.txt")
+    # the CPU kernel does not depend on the thread count, so this process
+    # loads the same one as the run did
+    from dosde.cli import _blas_info
+
+    assert fields["blas_core"] == _blas_info()[0]
+    if fields["blas_core"] == "unknown":
+        assert fields["blas_threads"] == "unknown"
+    else:
+        assert fields["blas_core"].isalnum()
+        assert int(fields["blas_threads"]) >= 1
     assert 0.0 < float(fields["peak_rss_mb"]) < 1 << 20
     assert fields["completed"] == "true"
     assert float(fields["t_reached"]) == pytest.approx(0.05, rel=1e-12)
