@@ -71,7 +71,7 @@ def _trajectory_rows(traj):
     return rows
 
 
-def _write_run_outputs(out_dir, cfg, traj, wall_time, command):
+def _write_run_outputs(out_dir, cfg, traj, wall_time, command, model=None):
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(
         os.path.join(out_dir, "trajectory.csv"),
@@ -94,7 +94,7 @@ def _write_run_outputs(out_dir, cfg, traj, wall_time, command):
             for e in traj.events
         ],
     )
-    _write_manifest(out_dir, cfg, wall_time, command, traj)
+    _write_manifest(out_dir, cfg, wall_time, command, traj, model)
 
 
 def _peak_rss_mb():
@@ -124,7 +124,7 @@ def _blas_info():
     return core().decode(), str(threads())
 
 
-def _write_manifest(out_dir, cfg, wall_time, command, traj=None):
+def _write_manifest(out_dir, cfg, wall_time, command, traj=None, model=None):
     import numpy
     import scipy
 
@@ -140,9 +140,14 @@ def _write_manifest(out_dir, cfg, wall_time, command, traj=None):
         fh.write("blas_core = %s\nblas_threads = %s\n" % _blas_info())
         fh.write("wall_time_s = %.3f\n" % wall_time)
         fh.write("peak_rss_mb = %.1f\n" % _peak_rss_mb())
+        if model is not None:
+            fh.write("diffusion = %s\n" % ("diagonal" if model.diagonal_noise else "constant"))
+            fh.write("n_atoms = %d\ndim = %d\nrank = %d\nchannels = %d\n"
+                     % (cfg.n_atoms, model.d, cfg.rank, model.m))
         if traj is not None:
             fh.write("completed = %s\n" % ("true" if traj.completed else "false"))
             fh.write("t_reached = %s\n" % _fmt(traj.diag[-1].t))
+            fh.write("steps = %d\nrank_events = %d\n" % (traj.steps, len(traj.events)))
 
 
 def _exit_status(t_end, *trajs):
@@ -194,8 +199,8 @@ def cmd_simulate(cfg, out_dir):
     if cfg.scheme == "picard":
         return cmd_picard_demo(cfg, out_dir)
     start = time.perf_counter()
-    _, traj, _ = _run_simulation(cfg)
-    _write_run_outputs(out_dir, cfg, traj, time.perf_counter() - start, "simulate")
+    model, traj, _ = _run_simulation(cfg)
+    _write_run_outputs(out_dir, cfg, traj, time.perf_counter() - start, "simulate", model)
     return _exit_status(cfg.t_end, traj)
 
 
@@ -254,7 +259,7 @@ def cmd_compare(cfg, out_dir):
         rows.append((lvl, cfg.dt / (1 << lvl), sup, rate))
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, "error_report.csv"), "level,dt,sup_error,rate_vs_prev", rows)
-    _write_manifest(out_dir, cfg, time.perf_counter() - start, "compare")
+    _write_manifest(out_dir, cfg, time.perf_counter() - start, "compare", model=model)
     return _exit_status(cfg.t_end, *(run for pair in outcomes for run in pair))
 
 
@@ -285,7 +290,7 @@ def cmd_picard_demo(cfg, out_dir):
         "iter,sup_difference,ratio_vs_prev,sup_U_sq,exp_sup_Y_sq",
         rows,
     )
-    _write_manifest(out_dir, cfg, time.perf_counter() - start, "picard-demo")
+    _write_manifest(out_dir, cfg, time.perf_counter() - start, "picard-demo", model=model)
     return 0
 
 
@@ -317,7 +322,7 @@ def cmd_explosion_study(cfg, out_dir):
     from .rank_control import detect_explosion
 
     start = time.perf_counter()
-    _, traj, policy = _run_simulation(cfg)
+    model, traj, policy = _run_simulation(cfg)
     exploded, t_e = detect_explosion(traj.diag, policy.gamma_cap if policy else float("inf"))
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(
@@ -331,7 +336,9 @@ def cmd_explosion_study(cfg, out_dir):
         "n,t,which,delta_n",
         [(c.n, c.t, c.which, c.delta_n) for c in crossings],
     )
-    _write_run_outputs(out_dir, cfg, traj, time.perf_counter() - start, "explosion-study")
+    _write_run_outputs(
+        out_dir, cfg, traj, time.perf_counter() - start, "explosion-study", model
+    )
     return _exit_status(cfg.t_end, traj)
 
 

@@ -77,8 +77,22 @@ class StepReport:
 
 
 def _apply_diffusion(B, dW):
-    """Per-atom b_i dW_i for B of shape (d, m) or (N, d, m)."""
+    """Per-atom B dW_i, one batched matvec, for dW of shape (N, m) and the
+    constant (d, m) form of B (a per-atom (N, d, m) stack broadcasts alike)."""
     return np.matmul(B, dW[..., :, None])[..., 0]
+
+
+def _noise(model, b, dW, U=None):
+    """Per-atom b dW_i for ``b = model.diffusion(t, X)``, or its coefficients
+    U b dW_i when the basis U is given.
+
+    A diagonal b, the (N, d) block of per-atom diagonals, is applied
+    entrywise; a constant (d, m) b as a batched matvec.
+    """
+    if model.diagonal_noise:
+        bdW = b * dW
+        return bdW if U is None else bdW @ U.T
+    return _apply_diffusion(b if U is None else np.matmul(U, b), dW)
 
 
 def step_reference(model, state, dW, dt):
@@ -88,7 +102,7 @@ def step_reference(model, state, dW, dt):
         raise ShapeMismatch("dW shape %r, expected %r" % (dW.shape, (X.shape[0], model.m)))
     a = model.drift(state.t, X)
     b = model.diffusion(state.t, X)
-    X1 = X + a * dt + _apply_diffusion(b, dW)
+    X1 = X + a * dt + _noise(model, b, dW)
     if not np.isfinite(X1).all():
         raise NonFiniteState("reference step produced non-finite state at t=%g" % state.t)
     t = state.t + dt
@@ -138,8 +152,7 @@ def step_do(model, state, dW, dt):
     X = Y @ U
     a = model.drift(state.t, X)
     b = model.diffusion(state.t, X)
-    Ub = np.matmul(U, b)  # (R, m) or (N, R, m)
-    Y1 = Y + (a @ U.T) * dt + _apply_diffusion(Ub, dW)
+    Y1 = Y + (a @ U.T) * dt + _noise(model, b, dW, U)
 
     G = kernels.mean_outer(Y, a)  # E[Y a^T], R x d
     Udot = rep.inverse @ (G - (G @ U.T) @ U)
@@ -187,7 +200,7 @@ def step_ambient_dlra(model, state, dW, dt, *, R):
     Pa = (a @ Q) @ Q.T
     PYa = kernels.projector_stochastic(phis, a)
     drift_term = (PYa - (PYa @ Q) @ Q.T) + Pa
-    noise = (_apply_diffusion(b, dW) @ Q) @ Q.T
+    noise = (_noise(model, b, dW) @ Q) @ Q.T
     X1 = X + drift_term * dt + noise
     if not np.isfinite(X1).all():
         raise NonFiniteState("ambient step produced non-finite state at t=%g" % state.t)
@@ -208,9 +221,9 @@ class Trajectory:
 
     ``times``/``states`` hold strided snapshots (always including the
     initial and final state), ``diag`` one StepReport per step (plus a
-    failure row at each Gram singularity), ``events`` any rank events raised by the policy hook, and
+    failure row at each Gram singularity), ``events`` any rank events raised by the policy hook,
     ``completed`` is False when integration halted at an unhandled
-    singularity.
+    singularity, and ``steps`` counts the grid steps taken.
     """
 
     scheme: str
@@ -219,6 +232,7 @@ class Trajectory:
     diag: list
     events: list
     completed: bool
+    steps: int = 0
 
 
 def integrate(
@@ -240,8 +254,9 @@ def integrate(
         Must be factored for "do"; full or factored otherwise.
     path : BrownianPath
         Supplies increments one step at a time (``path.increment(k)``,
-        streamed in bounded chunks); must cover ceil(t_end/dt) steps
-        with matching atom and channel counts.
+        streamed in bounded chunks that stop at this run's last step);
+        must cover ceil(t_end/dt) steps with matching atom and channel
+        counts.
     policy : optional rank/restart hook ("do" only) with methods ``attach(state)``,
         ``observe(t, inv_frobenius, y_norm_sq)``, ``should_restart(report)``
         and ``restart(state) -> (DoState | None, RankEvent)``.
@@ -296,7 +311,7 @@ def integrate(
     k = 0
     while k < n_steps:
         try:
-            state, report = step(model, state, path.increment(k), dt)
+            state, report = step(model, state, path.increment(k, n_steps), dt)
         except SingularGram as err:
             # Failure row at the current time; a restart retries this
             # same increment (Brownian counters continue).
@@ -324,4 +339,5 @@ def integrate(
         if not singular and (k % record_stride == 0 or k == n_steps):
             traj.times.append(state.t)
             traj.states.append(state)
+    traj.steps = k
     return traj

@@ -1,11 +1,15 @@
 """Builtin SDE test models dX = a(t, X) dt + b(t, X) dW with declared constants.
 
 Drift and diffusion are vectorized over atoms: ``drift(t, X)`` accepts
-an (N, d) sample block and returns (N, d); ``diffusion(t, X)`` returns
-either a constant (d, m) matrix or a per-atom (N, d, m) stack.  Declared
-constants (global Lipschitz ``C_Lip``, linear growth ``C_lgb``, uniform
-noise-floor ``sigma_B`` with b b^T >= sigma_B I) can be spot-checked on
-the documented probe box with ``validate_assumptions``.
+an (N, d) sample block and returns (N, d).  ``diffusion(t, X)`` has one
+of two forms: a constant (d, m) matrix B, applied as B dW, or, when the
+model sets ``diagonal_noise``, an (N, d) block v of per-atom diagonals
+(m = d), applied entrywise as v * dW.  No per-atom (N, d, m) matrix is
+built.  Declared constants (global Lipschitz ``C_Lip``, linear growth
+``C_lgb``, uniform noise-floor ``sigma_B`` with b b^T >= sigma_B I) can
+be spot-checked on the documented probe box with
+``validate_assumptions``, which builds the dense diagonal only at its
+probe points.
 
 The zoo covers the regimes the integrators have to survive:
 
@@ -45,7 +49,12 @@ def _readonly(a):
 
 @dataclass(frozen=True)
 class SdeModel:
-    """Immutable bundle of coefficients and their declared constants."""
+    """Immutable bundle of coefficients and their declared constants.
+
+    ``diffusion(t, X)`` returns a constant (d, m) matrix, or, when
+    ``diagonal_noise`` is set, the (N, d) per-atom diagonals of b with
+    m = d (see the module docstring).
+    """
 
     name: str
     d: int
@@ -59,6 +68,7 @@ class SdeModel:
     horizon: float
     params: dict = field(default_factory=dict)
     basis: np.ndarray | None = None  # planted row basis, when the model has one
+    diagonal_noise: bool = False
 
 
 def _ou(kappa=1.0, sigma=1.0, d=4):
@@ -150,12 +160,7 @@ def _gbm_clipped(mu=0.05, sigma=0.2, clip=5.0, d=4):
         return mu * np.asarray(x, dtype=float)
 
     def diffusion(t, x):
-        x = np.asarray(x, dtype=float)
-        v = sigma * np.clip(x, -clip, clip)
-        out = np.zeros(x.shape + (d,), dtype=float)
-        idx = np.arange(d)
-        out[..., idx, idx] = v
-        return out
+        return sigma * np.clip(np.asarray(x, dtype=float), -clip, clip)
 
     return SdeModel(
         name="gbm_clipped",
@@ -169,6 +174,7 @@ def _gbm_clipped(mu=0.05, sigma=0.2, clip=5.0, d=4):
         box=(-10.0, 10.0),
         horizon=1.0,
         params={"mu": mu, "sigma": sigma, "clip": clip, "d": d},
+        diagonal_noise=True,
     )
 
 
@@ -320,8 +326,8 @@ def validate_assumptions(model, box=None, n_probe=256, seed=0, tol=1e-9):
         ay = np.asarray(model.drift(t, y[None, :]), dtype=float)[0]
         bx = np.asarray(model.diffusion(t, x[None, :]), dtype=float)
         by = np.asarray(model.diffusion(t, y[None, :]), dtype=float)
-        bx = bx[0] if bx.ndim == 3 else bx
-        by = by[0] if by.ndim == 3 else by
+        if model.diagonal_noise:
+            bx, by = np.diag(bx[0]), np.diag(by[0])
         if not (np.isfinite(ax).all() and np.isfinite(bx).all()):
             raise AssumptionViolated("%s: non-finite coefficients at %r" % (model.name, x))
         gap = float(np.linalg.norm(x - y))

@@ -75,6 +75,10 @@ def test_simulate_outputs(tmp_path):
     assert 0.0 < float(fields["peak_rss_mb"]) < 1 << 20
     assert fields["completed"] == "true"
     assert float(fields["t_reached"]) == pytest.approx(0.05, rel=1e-12)
+    shape = {key: fields[key] for key in
+             ("diffusion", "n_atoms", "dim", "rank", "channels", "steps", "rank_events")}
+    assert shape == {"diffusion": "constant", "n_atoms": "32", "dim": "4", "rank": "2",
+                     "channels": "4", "steps": "50", "rank_events": "0"}
 
 
 def _manifest(path):
@@ -99,6 +103,22 @@ def test_manifest_reports_a_shortened_run(tmp_path):
     fields = _manifest(tmp_path / "manifest.txt")
     assert fields["completed"] == "false"
     assert float(fields["t_reached"]) == pytest.approx(1.0, rel=1e-12)
+    assert fields["steps"] == "100" and fields["rank_events"] == "1"
+
+
+def test_manifest_names_a_diagonal_diffusion(tmp_path):
+    from dosde import cli
+    from dosde.config import parse_config
+
+    cfg = parse_config(
+        "model.name = gbm_clipped\nrun.scheme = reference\nrun.dim = 3\nrun.rank = 3\n"
+        "run.n_atoms = 8\nrun.dt = 0.01\nrun.t_end = 0.05\n"
+    )
+    assert cli.cmd_simulate(cfg, str(tmp_path)) == 0
+    fields = _manifest(tmp_path / "manifest.txt")
+    assert fields["diffusion"] == "diagonal"
+    assert (fields["n_atoms"], fields["dim"], fields["channels"]) == ("8", "3", "3")
+    assert (fields["steps"], fields["rank_events"]) == ("5", "0")
 
 
 def test_simulate_out_flag_overrides(tmp_path):
@@ -329,6 +349,7 @@ run.out_dir = {out}
     assert fields["completed"] == "true"
     assert float(fields["t_reached"]) == pytest.approx(1.2, rel=1e-12)
     assert float(fields["peak_rss_mb"]) > 0.0
+    assert (fields["steps"], fields["rank_events"]) == ("1200", "1")
 
 
 def test_self_test_passes():

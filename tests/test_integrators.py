@@ -1,6 +1,9 @@
 """Steppers and the driver: hand oracles, invariants, grid validation."""
 
+import dataclasses
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,14 +15,36 @@ from dosde.errors import NonFiniteState, RankDeficient, ShapeMismatch, SingularG
 from dosde.integrators import (
     DoState,
     FullState,
-    _apply_diffusion,
     integrate,
     step_ambient_dlra,
     step_do,
     step_reference,
 )
-from dosde.models import InitialDatum, builtin, default_initial, whiten
+from dosde.models import _BUILTINS, InitialDatum, builtin, default_initial, whiten
 from dosde.diagnostics import l2_distance
+from dosde.picard import picard_local_solve
+
+
+def _dense_b(model, X, t=0.0):
+    """b(t, X) as a matrix: the constant (d, m) one, or, for a diagonal
+    form, the zero-filled (N, d, d) stack with each atom's diagonal."""
+    b = model.diffusion(t, X)
+    if not model.diagonal_noise:
+        return b
+    dense = np.zeros(b.shape + (model.d,))
+    idx = np.arange(model.d)
+    dense[:, idx, idx] = b
+    return dense
+
+
+def _dense_twin(model):
+    """The same model with its diagonal b handed over as the (N, d, d)
+    stack, which the steppers apply as one matvec per atom."""
+    if not model.diagonal_noise:
+        return model
+    return dataclasses.replace(
+        model, diffusion=lambda t, x: _dense_b(model, x, t), diagonal_noise=False
+    )
 
 
 def _ou_state(N=64, d=3, seed=0):
@@ -220,6 +245,57 @@ def test_em_strong_rate_multiplicative_noise():
     assert all(0.40 <= r <= 0.65 for r in rates), rates
 
 
+def test_diagonal_reference_run_matches_golden_bits():
+    # Recorded when gbm_clipped's b was a zero-filled (N, d, d) stack
+    # applied by matvecs.  The path calls no BLAS, so the digest does not
+    # depend on the BLAS build.  Planted entries sit at +0.0 (b = 0 there
+    # for ever) and at +-clip.
+    N, d = 64, 8
+    model = builtin("gbm_clipped", mu=0.05, sigma=0.2, clip=5.0, d=d)
+    X0 = (((np.arange(N * d) * 7919) % 1009) / 1009 - 0.5).reshape(N, d) * 16.0
+    X0.ravel()[::7] = 0.0
+    X0.ravel()[3::11] = 5.0
+    X0.ravel()[5::13] = -5.0
+    path = paths.generate(17, 40, 1e-2, N, model.m)
+    traj = integrate(model, InitialDatum(X=X0), "reference", 0.4, 1e-2, path, record_stride=8)
+    digest = hashlib.sha256()
+    for state in traj.states:
+        digest.update(state.X.tobytes())
+    assert len(traj.states) == 6
+    assert digest.hexdigest() == (
+        "bdbb72b2b5414f46eb9ea2c8f4573d67707d6e28d920ea17cee8631066b9d5a5"
+    )
+
+
+def test_diagonal_noise_and_signed_zeros():
+    # v * dW is -0.0 where v = +0.0 and dW < 0, and the matvec gave +0.0;
+    # the state x + a dt + v dW is +0.0 either way at x = +0.0.  An entry
+    # that is exactly -0.0 (v = -0.0) is where the bytes differ: with
+    # dW > 0 it stays -0.0, where the matvec made it +0.0.
+    model = builtin("gbm_clipped", d=2)
+    X = np.array([[0.0, 0.0], [-0.0, -0.0]])
+    dW = np.array([[-1.0, 1.0], [-1.0, 1.0]])
+    new, _ = step_reference(model, FullState(t=0.0, X=X.copy()), dW, 0.01)
+    old, _ = step_reference(_dense_twin(model), FullState(t=0.0, X=X.copy()), dW, 0.01)
+    assert np.array_equal(new.X, old.X) and not np.any(new.X)
+    assert np.signbit(new.X).tolist() == [[False, False], [False, True]]
+    assert not np.signbit(old.X).any()
+
+
+def test_diagonal_reference_step_builds_no_matrix_stack():
+    N, d = 2048, 32
+    model = builtin("gbm_clipped", d=d)
+    state = FullState(t=0.0, X=np.random.default_rng(0).standard_normal((N, d)))
+    dW = paths.generate(0, 1, 1e-3, N, model.m).increments[0]
+    tracemalloc.start()
+    try:
+        step_reference(model, state, dW, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < N * d * d * 8 / 4
+
+
 def test_integrate_without_policy_halts_at_singularity():
     model = builtin("mode_crossing")
     init = default_initial(model, N=64, R=2, seed=0)
@@ -260,13 +336,68 @@ def test_do_step_retraction_properties(case):
     a = model.drift(0.0, X)
     G = kernels.mean_outer(Y, a)
     U_raw = U + dt * (kernels.gram(Y).inverse @ (G - (G @ U.T) @ U))
-    Y_pre = Y + (a @ U.T) * dt + _apply_diffusion(U @ model.diffusion(0.0, X), dW)
+    Y_pre = Y + (a @ U.T) * dt + np.matmul(U @ _dense_b(model, X), dW[..., None])[..., 0]
 
     new, rep = step_do(model, state, dW, dt)
     assert np.linalg.norm(new.U @ new.U.T - np.eye(R)) < 1e-13
     expect = Y_pre @ U_raw
     assert np.max(np.abs(new.Y @ new.U - expect)) <= 1e-12 * max(1.0, np.max(np.abs(expect)))
     assert rep.t == dt
+
+
+@st.composite
+def _noise_cases(draw):
+    name = draw(st.sampled_from(sorted(_BUILTINS)))
+    d = draw(st.integers(2, 6))
+    R = draw(st.integers(1, d))
+    N = draw(st.integers(R + 8, 48))
+    return builtin(name, d=d), N, R, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_noise_cases())
+def test_noise_forms_match_the_dense_oracle(case):
+    # Each consumer of b against the same b as a dense matrix: the
+    # reference and ambient steps bit for bit, the do step and Picard
+    # sweeps (whose diagonal apply sums in another order) within the
+    # tolerances of their hand-oracle tests.
+    model, N, R, coordinate, seed = case
+    dense = _dense_twin(model)
+    clip = model.params.get("clip", 5.0)
+    rng = np.random.default_rng(seed)
+    if coordinate:
+        # coordinate rows keep X = Y U exact, so the planted values reach b
+        U = np.eye(model.d)[rng.permutation(model.d)[:R]]
+    else:
+        U = np.linalg.qr(rng.standard_normal((model.d, R)))[0].T
+    Y = 3.0 * whiten(rng.standard_normal((N, R)))
+    Y[0] = 0.0  # an atom at the origin
+    Y[1, 0] = clip
+    Y[2, -1] = -clip
+    X = Y @ U
+    dt = 0.01
+    path = paths.generate(seed, 3, dt, N, model.m)
+    dW = path.increments[0]
+
+    new, _ = step_reference(model, FullState(t=0.0, X=X), dW, dt)
+    hand = X + model.drift(0.0, X) * dt + np.matmul(_dense_b(model, X), dW[..., None])[..., 0]
+    assert new.X.tobytes() == hand.tobytes()
+
+    amb, _ = step_ambient_dlra(model, FullState(t=0.0, X=X), dW, dt, R=R)
+    amb_dense, _ = step_ambient_dlra(dense, FullState(t=0.0, X=X), dW, dt, R=R)
+    assert amb.X.tobytes() == amb_dense.X.tobytes()
+
+    do, _ = step_do(model, DoState(t=0.0, U=U, Y=Y), dW, dt)
+    do_dense, _ = step_do(dense, DoState(t=0.0, U=U, Y=Y), dW, dt)
+    expect = do_dense.Y @ do_dense.U
+    assert np.max(np.abs(do.Y @ do.U - expect)) <= 1e-12 * max(1.0, np.max(np.abs(expect)))
+
+    sweeps = picard_local_solve(model, U, Y, path, n_iters=2)
+    sweeps_dense = picard_local_solve(dense, U, Y, path, n_iters=2)
+    for U_it, U_dense in zip(sweeps.U_iters, sweeps_dense.U_iters, strict=True):
+        assert np.allclose(U_it, U_dense, atol=1e-15)
+    for Y_it, Y_dense in zip(sweeps.Y_iters, sweeps_dense.Y_iters, strict=True):
+        assert np.allclose(Y_it, Y_dense, atol=1e-13)
 
 
 @settings(max_examples=30, deadline=None)

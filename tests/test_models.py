@@ -40,7 +40,10 @@ def test_every_builtin_has_consistent_shapes():
         a = model.drift(0.0, X)
         b = model.diffusion(0.0, X)
         assert a.shape == (16, model.d), name
-        assert b.shape in ((model.d, model.m), (16, model.d, model.m)), name
+        if model.diagonal_noise:
+            assert b.shape == (16, model.d) and model.m == model.d, name
+        else:
+            assert b.shape == (model.d, model.m), name
         assert model.C_lgb > 0 and model.horizon > 0, name
 
 
@@ -71,9 +74,9 @@ def test_gbm_clip_saturates_diffusion():
     model = builtin("gbm_clipped", mu=0.1, sigma=0.5, clip=2.0, d=2)
     X = np.array([[10.0, -10.0], [1.0, -1.0]])
     b = model.diffusion(0.0, X)
-    assert b.shape == (2, 2, 2)
-    # diagonal entries are sigma * clip(x)
-    assert np.allclose(np.diagonal(b, axis1=1, axis2=2), 0.5 * np.clip(X, -2.0, 2.0))
+    assert model.diagonal_noise and b.shape == (2, 2)
+    # the per-atom diagonals are sigma * clip(x)
+    assert np.allclose(b, 0.5 * np.clip(X, -2.0, 2.0))
     # drift is not clipped
     assert np.array_equal(model.drift(0.0, X), 0.1 * X)
 
