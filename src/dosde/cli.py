@@ -71,7 +71,7 @@ def _trajectory_rows(traj):
     return rows
 
 
-def _write_run_outputs(out_dir, cfg, traj, wall_time, command, model=None):
+def _write_run_outputs(out_dir, cfg, traj, wall_time, command, model):
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(
         os.path.join(out_dir, "trajectory.csv"),
@@ -147,7 +147,8 @@ def _write_manifest(out_dir, cfg, wall_time, command, traj=None, model=None):
         if traj is not None:
             fh.write("completed = %s\n" % ("true" if traj.completed else "false"))
             fh.write("t_reached = %s\n" % _fmt(traj.diag[-1].t))
-            fh.write("steps = %d\nrank_events = %d\n" % (traj.steps, len(traj.events)))
+            fh.write("steps = %d\n" % round(traj.diag[-1].t / cfg.dt))
+            fh.write("rank_events = %d\n" % len(traj.events))
 
 
 def _exit_status(t_end, *trajs):

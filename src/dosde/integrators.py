@@ -221,9 +221,9 @@ class Trajectory:
 
     ``times``/``states`` hold strided snapshots (always including the
     initial and final state), ``diag`` one StepReport per step (plus a
-    failure row at each Gram singularity), ``events`` any rank events raised by the policy hook,
+    failure row at each Gram singularity), ``events`` any rank events raised by the policy hook, and
     ``completed`` is False when integration halted at an unhandled
-    singularity, and ``steps`` counts the grid steps taken.
+    singularity.
     """
 
     scheme: str
@@ -232,7 +232,6 @@ class Trajectory:
     diag: list
     events: list
     completed: bool
-    steps: int = 0
 
 
 def integrate(
@@ -254,9 +253,8 @@ def integrate(
         Must be factored for "do"; full or factored otherwise.
     path : BrownianPath
         Supplies increments one step at a time (``path.increment(k)``,
-        streamed in bounded chunks that stop at this run's last step);
-        must cover ceil(t_end/dt) steps with matching atom and channel
-        counts.
+        streamed in bounded chunks); must cover ceil(t_end/dt) steps
+        with matching atom and channel counts.
     policy : optional rank/restart hook ("do" only) with methods ``attach(state)``,
         ``observe(t, inv_frobenius, y_norm_sq)``, ``should_restart(report)``
         and ``restart(state) -> (DoState | None, RankEvent)``.
@@ -311,7 +309,7 @@ def integrate(
     k = 0
     while k < n_steps:
         try:
-            state, report = step(model, state, path.increment(k, n_steps), dt)
+            state, report = step(model, state, path.increment(k), dt)
         except SingularGram as err:
             # Failure row at the current time; a restart retries this
             # same increment (Brownian counters continue).
@@ -339,5 +337,4 @@ def integrate(
         if not singular and (k % record_stride == 0 or k == n_steps):
             traj.times.append(state.t)
             traj.states.append(state)
-    traj.steps = k
     return traj

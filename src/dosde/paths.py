@@ -21,10 +21,9 @@ because both resolve the same finest grid.
 
 ``generate`` draws nothing.  ``BrownianPath.increment(k)`` streams: it
 draws whole chunks of steps, about ``_CHUNK_ELEMENTS`` fine normals
-each and cut short at the caller's last step, into one reused buffer,
-and coarsens inside each step in the same pairwise order as the whole
-tensor, so every increment has the same bits however it is reached.
-Memory stays bounded for any step count.
+each, into one reused buffer, and coarsens inside each step in the same
+pairwise order as the whole tensor, so every increment has the same
+bits however it is reached.  Memory stays bounded for any step count.
 ``BrownianPath.increments`` materialises (and keeps) the whole
 (n_steps, N, m) tensor; only it is capped by MAX_ELEMENTS.
 """
@@ -101,31 +100,26 @@ class BrownianPath:
             self._tensor = out
         return self._tensor
 
-    def increment(self, k, stop=None):
+    def increment(self, k):
         """Step ``k``'s increment, a read-only (N, m) array.
 
         Unless ``increments`` was materialised, this is a view into the
         chunk buffer, which the next call outside its chunk overwrites.
-        ``stop`` (default ``n_steps``) is one past the last step the
-        caller will ask for: a chunk draws no step at or past it, so a
-        short run on a long path draws only what it uses.  Every step
-        has the same bits whatever ``stop`` is.
         """
         if not 0 <= k < self.n_steps:
             raise IndexError("step %r outside a path of %d steps" % (k, self.n_steps))
-        stop = self.n_steps if stop is None else min(max(stop, k + 1), self.n_steps)
         if self._tensor is not None:
             view = self._tensor[k]
         else:
             if not self._chunk_start <= k < self._chunk_start + self._chunk_len:
-                steps = self._chunk_steps()
+                if self._chunk is None:
+                    steps = min(self._chunk_steps(), self.n_steps)
+                    self._chunk = np.empty((steps, self.N, self.m))
+                steps = len(self._chunk)
                 start = k - k % steps
-                count = min(steps, stop - start)
-                if self._chunk is None or len(self._chunk) < count:
-                    self._chunk = np.empty((count, self.N, self.m))
-                self._chunk_len = count
+                self._chunk_len = min(steps, self.n_steps - start)
                 self._chunk_start = start
-                self._fill(start, self._chunk[:count])
+                self._fill(start, self._chunk[:self._chunk_len])
             view = self._chunk[k - self._chunk_start]
         view.flags.writeable = False
         return view

@@ -94,12 +94,15 @@ def test_manifest_reports_a_shortened_run(tmp_path):
     from dosde.integrators import integrate
     from dosde.models import builtin, default_initial
 
-    cfg = parse_config("model.name = mode_crossing\nmodel.t_star = 1.0\nrun.dim = 4\n")
+    cfg = parse_config(
+        "model.name = mode_crossing\nmodel.t_star = 1.0\nrun.dim = 4\nrun.rank = 2\n"
+        "run.n_atoms = 64\nrun.dt = 0.01\nrun.t_end = 1.2\n"
+    )
     model = builtin("mode_crossing", t_star=1.0, d=4)
     init = default_initial(model, 64, 2, seed=0)
     traj = integrate(model, init, "do", 1.2, 1e-2, paths.generate(0, 120, 1e-2, 64, model.m))
     assert not traj.completed
-    cli._write_run_outputs(str(tmp_path), cfg, traj, 0.0, "simulate")
+    cli._write_run_outputs(str(tmp_path), cfg, traj, 0.0, "simulate", model)
     fields = _manifest(tmp_path / "manifest.txt")
     assert fields["completed"] == "false"
     assert float(fields["t_reached"]) == pytest.approx(1.0, rel=1e-12)
