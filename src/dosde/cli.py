@@ -51,33 +51,26 @@ def _build_model(cfg):
     return builtin(cfg.model_name, d=cfg.dim, **cfg.model_params)
 
 
-def _trajectory_rows(traj):
+def _write_trajectory(path, traj):
+    """trajectory.csv, one recorded array at a time: a factored state
+    writes U then Y, a full state X, each flattened row-major."""
     from .integrators import DoState
 
-    rows = []
-    for state in traj.states:
-        t = state.t
-        if isinstance(state, DoState):
-            flatU = state.U.ravel()
-            for idx in range(flatU.size):
-                rows.append((t, "U", idx, flatU[idx]))
-            flatY = state.Y.ravel()
-            for idx in range(flatY.size):
-                rows.append((t, "Y", idx, flatY[idx]))
-        else:
-            flatX = state.X.ravel()
-            for idx in range(flatX.size):
-                rows.append((t, "X", idx, flatX[idx]))
-    return rows
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("t,kind,index,value\n")
+        for state in traj.states:
+            if isinstance(state, DoState):
+                arrays = (("U", state.U), ("Y", state.Y))
+            else:
+                arrays = (("X", state.X),)
+            for kind, a in arrays:
+                row = "%.17g,%s,%%d,%%.17g\n" % (state.t, kind)
+                fh.writelines(map(row.__mod__, enumerate(a.ravel().tolist())))
 
 
 def _write_run_outputs(out_dir, cfg, traj, wall_time, command, model):
     os.makedirs(out_dir, exist_ok=True)
-    _write_csv(
-        os.path.join(out_dir, "trajectory.csv"),
-        "t,kind,index,value",
-        _trajectory_rows(traj),
-    )
+    _write_trajectory(os.path.join(out_dir, "trajectory.csv"), traj)
     _write_csv(
         os.path.join(out_dir, "diagnostics.csv"),
         "t,gauge_defect,ortho_defect,gram_inv_frobenius,lambda_min",
@@ -197,8 +190,6 @@ def _run_simulation(cfg):
 
 
 def cmd_simulate(cfg, out_dir):
-    if cfg.scheme == "picard":
-        return cmd_picard_demo(cfg, out_dir)
     start = time.perf_counter()
     model, traj, _ = _run_simulation(cfg)
     _write_run_outputs(out_dir, cfg, traj, time.perf_counter() - start, "simulate", model)
@@ -320,16 +311,15 @@ def cmd_lipschitz_harness(cfg, out_dir):
 
 
 def cmd_explosion_study(cfg, out_dir):
-    from .rank_control import detect_explosion
-
     start = time.perf_counter()
     model, traj, policy = _run_simulation(cfg)
-    exploded, t_e = detect_explosion(traj.diag, policy.gamma_cap if policy else float("inf"))
+    # The rank events are the explosion record; the first is T_e.
+    t_e = traj.events[0].t_event if traj.events else float("nan")
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(
         os.path.join(out_dir, "explosion.csv"),
         "exploded,T_e_estimate",
-        [(int(exploded), t_e if t_e is not None else float("nan"))],
+        [(int(bool(traj.events)), t_e)],
     )
     crossings = policy.crossings if policy else []
     _write_csv(

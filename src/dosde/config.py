@@ -17,7 +17,7 @@ from . import integrators
 from .errors import ParseError, ValidationError
 from .models import PARAM_NAMES
 
-_SCHEMES = integrators._SCHEMES + ("picard",)
+_SCHEMES = integrators._SCHEMES
 
 _LINE_RE = re.compile(r"^([A-Za-z_]+)\.([A-Za-z_]+)\s*=\s*(.+?)\s*$")
 _INT_RE = re.compile(r"^[+-]?\d+$")

@@ -13,9 +13,10 @@ one contract, ``step(model, state, dW, dt) -> (state, StepReport)``:
                        state directly (its rank ``R`` is a keyword).
 
 ``integrate`` picks one stepper, drives it to t_end, records strided
-snapshots and one StepReport per step, and defers Gram singularities /
-inverse-norm cap crossings to an optional policy hook (see
-rank_control) that can truncate and restart the factorization mid-run.
+snapshots and one StepReport per step, and leaves the explosion
+decision to an optional policy hook (see rank_control) that can
+truncate and restart the factorization mid-run; without one, only a
+singular Gram stops the run.
 """
 
 import functools
@@ -76,23 +77,18 @@ class StepReport:
     lambda_min: float
 
 
-def _apply_diffusion(B, dW):
-    """Per-atom B dW_i, one batched matvec, for dW of shape (N, m) and the
-    constant (d, m) form of B (a per-atom (N, d, m) stack broadcasts alike)."""
-    return np.matmul(B, dW[..., :, None])[..., 0]
-
-
 def _noise(model, b, dW, U=None):
     """Per-atom b dW_i for ``b = model.diffusion(t, X)``, or its coefficients
     U b dW_i when the basis U is given.
 
     A diagonal b, the (N, d) block of per-atom diagonals, is applied
-    entrywise; a constant (d, m) b as a batched matvec.
+    entrywise; a constant (d, m) b as one batched matvec over the atoms.
     """
     if model.diagonal_noise:
         bdW = b * dW
         return bdW if U is None else bdW @ U.T
-    return _apply_diffusion(b if U is None else np.matmul(U, b), dW)
+    B = b if U is None else np.matmul(U, b)
+    return np.matmul(B, dW[..., :, None])[..., 0]
 
 
 def step_reference(model, state, dW, dt):
@@ -221,9 +217,11 @@ class Trajectory:
 
     ``times``/``states`` hold strided snapshots (always including the
     initial and final state), ``diag`` one StepReport per step (plus a
-    failure row at each Gram singularity), ``events`` any rank events raised by the policy hook, and
-    ``completed`` is False when integration halted at an unhandled
-    singularity.
+    failure row at each Gram singularity), ``events`` the rank events,
+    in time order (the first is the explosion time), and ``completed`` is
+    False when the run halted before t_end: at a singular Gram without
+    a policy, or at an explosion the policy could not restart (no mode
+    kept, or its restart budget spent).
     """
 
     scheme: str
@@ -255,16 +253,21 @@ def integrate(
         Supplies increments one step at a time (``path.increment(k)``,
         streamed in bounded chunks); must cover ceil(t_end/dt) steps
         with matching atom and channel counts.
-    policy : optional rank/restart hook ("do" only) with methods ``attach(state)``,
-        ``observe(t, inv_frobenius, y_norm_sq)``, ``should_restart(report)``
-        and ``restart(state) -> (DoState | None, RankEvent)``.
+    policy : optional rank/restart hook ("do" only), the one judge of an
+        explosion, with three methods: ``attach(state)`` starts it on the
+        initial state; ``observe(report, state) -> bool`` sees every step
+        report (and the state it left) and says whether the step
+        exploded; ``restart(state) -> (DoState | None, RankEvent)``
+        refactors at the event and re-attaches itself to the new state.
     R : rank for the ambient scheme (defaults to the initial rank).
 
-    On SingularGram (or a cap crossing flagged by the policy) the run
-    either restarts through the policy or, without one, records a final
-    rank event and returns with ``completed=False``.  A restart after
-    SingularGram retries the same increment; a cap crossing has already
-    consumed its step.
+    Without a policy only a singular Gram (SingularGram) explodes; the
+    run records a halt event and returns with ``completed=False``.  With
+    a policy, an explosion restarts through it, and a halt it returns
+    (no state) ends the run the same way.  A restart after SingularGram
+    retries the same increment; a cap crossing has already consumed its
+    step.  ``traj.events`` is the explosion record: its first event is
+    the explosion time.
     """
     if scheme not in _SCHEMES:
         raise ShapeMismatch("unknown scheme %r; expected one of %s" % (scheme, _SCHEMES))
@@ -320,9 +323,8 @@ def integrate(
             k += 1
             state.t = report.t = k * dt  # fixed grid, no accumulated float drift
         traj.diag.append(report)
-        if policy is not None:
-            policy.observe(report.t, report.gram_inv_frobenius, kernels.mean_sq_norm(state.Y))
-        if singular or (policy is not None and policy.should_restart(report)):
+        exploded = singular if policy is None else policy.observe(report, state)
+        if exploded:
             if policy is None:
                 from .rank_control import truncate  # local import avoids a cycle
 
@@ -333,7 +335,6 @@ def integrate(
             if state is None:
                 traj.completed = False
                 break
-            policy.attach(state)
         if not singular and (k % record_stride == 0 or k == n_steps):
             traj.times.append(state.t)
             traj.states.append(state)

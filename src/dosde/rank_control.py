@@ -1,18 +1,22 @@
 """Explosion surveillance and rank truncation/restart.
 
 The inverse-Gram Frobenius norm is the canary: the factored scheme
-breaks down exactly when ||C_Y^-1||_F blows up.  The monitor records
-when that norm (or the ensemble norm of Y) first crosses each integer
-level above its starting value; a hard cap (default 1e8 x the starting
-norm) or an outright inversion failure declares an explosion.  At that
-point the ensemble is re-factored by spectral truncation of E[X X^T],
-read off the R x R coefficient Gram, and the run restarts at a strictly
-smaller rank (at rank 1, whose Gram is still invertible, it re-factors at
-rank 1), with the Brownian counters continuing where they left off.
+breaks down exactly when ||C_Y^-1||_F blows up, that is when the random
+coefficients lose linear independence.  ``RestartPolicy`` is the one
+place that decides it.  It records when that norm (or the ensemble norm
+of Y) first crosses each integer level above its starting value, and
+declares an explosion at a hard cap (default 1e8 x the starting norm)
+or an outright inversion failure.  At that point the ensemble is
+re-factored by spectral truncation of E[X X^T], read off the R x R
+coefficient Gram, and the run restarts at a strictly smaller rank (at
+rank 1, whose Gram is still invertible, it re-factors at rank 1), with
+the Brownian counters continuing where they left off.  The rank events
+``integrate`` collects are the run's explosion record: the first one
+is the explosion time.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,66 +36,6 @@ class Crossing:
     t: float
     which: str  # "inv_norm" or "y_norm"
     delta_n: float  # admissible window length at this level
-
-
-@dataclass
-class ExplosionMonitor:
-    """Integer-level crossing tracker for one run segment."""
-
-    base_inv_norm: float
-    base_Y_norm: float
-    n_max: int
-    crossed: list = field(default_factory=list)
-
-    def next_level(self, which):
-        done = [c.n for c in self.crossed if c.which == which]
-        return (max(done) + 1) if done else 1
-
-
-def monitor_update(mon, t, inv_norm, y_norm, delta_args=None):
-    """Record every integer level first crossed at time t.
-
-    ``inv_norm`` may be +inf (inversion failed), which crosses straight
-    to level n_max.  Returns the list of new crossings, each tagged with
-    the window length delta(n) when ``delta_args`` supplies
-    (R, d, C_lgb, rho0_sq, gamma0_sq); the window is logged only and
-    never gates the stepper.
-    """
-    new = []
-    for which, base, value in (
-        ("inv_norm", mon.base_inv_norm, inv_norm),
-        ("y_norm", mon.base_Y_norm, y_norm),
-    ):
-        if value is None:
-            continue
-        if math.isinf(value) or math.isnan(value):
-            top = mon.n_max
-        else:
-            top = min(int(math.floor(value - base)), mon.n_max)
-        for n in range(mon.next_level(which), top + 1):
-            new.append(Crossing(n=n, t=t, which=which, delta_n=_delta_at(n, delta_args)))
-    mon.crossed.extend(new)
-    return new
-
-
-def _delta_at(n, delta_args):
-    if delta_args is None:
-        return math.nan
-    R, d, C_lgb, rho0_sq, gamma0_sq = delta_args
-    return kernels.picard_delta_n(n, R, d, C_lgb, rho0_sq, gamma0_sq)
-
-
-def detect_explosion(diag_rows, gamma_cap):
-    """Scan per-step diagnostics for a blow-up of the inverse Gram norm.
-
-    Returns (exploded, T_e_estimate); the estimate is the first time the
-    series is non-finite or exceeds ``gamma_cap``, else None.
-    """
-    for row in diag_rows:
-        v = row.gram_inv_frobenius
-        if not math.isfinite(v) or v >= gamma_cap:
-            return True, row.t
-    return False, None
 
 
 @dataclass
@@ -141,13 +85,15 @@ def truncate(state, sv_tolerance=DEFAULT_SV_TOLERANCE, max_rank=None):
 
 
 class RestartPolicy:
-    """Monitor + truncate/restart hook for ``integrate``.
+    """The one explosion rule of the factored scheme, and its restart.
 
-    Tracks level crossings against the starting norms, declares an
-    explosion at the hard cap gamma_cap = cap_factor * base_inv_norm or
-    on inversion failure, and refactors the ensemble at the event.  Each
-    restart re-attaches with fresh base norms (a new factored problem
-    starts at the event time).
+    ``attach`` starts a segment at a state: base norms, the hard cap
+    gamma_cap = cap_factor * base inverse-Gram norm, the fixed-point
+    window arguments, and the next integer level of each monitored
+    series.  ``observe`` records level crossings and decides whether a
+    step exploded (a non-finite inverse norm, or one at the cap).
+    ``restart`` refactors the ensemble at the event and re-attaches to
+    the new state, so each segment is measured from its own start.
     """
 
     def __init__(
@@ -163,51 +109,64 @@ class RestartPolicy:
         self.cap_factor = cap_factor
         self.sv_tolerance = sv_tolerance
         self.max_restarts = max_restarts
-        self.monitor = None
         self.gamma_cap = math.inf
         self.crossings = []
         self.restarts = 0
-        self._delta_args = None
 
     def attach(self, state):
         base_inv = kernels.gram(state.Y).inv_frobenius
         y_norm_sq = kernels.mean_sq_norm(state.Y)
-        self.monitor = ExplosionMonitor(
-            base_inv_norm=base_inv,
-            base_Y_norm=math.sqrt(y_norm_sq),
-            n_max=self.n_max,
-        )
-        self.gamma_cap = self.cap_factor * base_inv if math.isfinite(base_inv) else math.inf
-        self._delta_args = (
+        finite = math.isfinite(base_inv)
+        self.gamma_cap = self.cap_factor * base_inv if finite else math.inf
+        self._window = (
             state.rank,
             state.U.shape[1],
             self.model.C_lgb,
             y_norm_sq,
-            base_inv**2 if math.isfinite(base_inv) else math.inf,
+            base_inv**2 if finite else math.inf,
         )
+        # series -> (base value, next integer level above it)
+        self._levels = {"inv_norm": (base_inv, 1), "y_norm": (math.sqrt(y_norm_sq), 1)}
 
-    def observe(self, t, inv_norm, y_norm_sq):
-        self.crossings += monitor_update(
-            self.monitor, t, inv_norm, math.sqrt(y_norm_sq), self._delta_args
-        )
+    def observe(self, report, state):
+        """Record every integer level first crossed at ``report.t`` and
+        return whether this step exploded.
 
-    def should_restart(self, report):
-        v = report.gram_inv_frobenius
-        return (not math.isfinite(v)) or v >= self.gamma_cap
+        The monitored series are the report's inverse-Gram norm and the
+        ensemble norm sqrt(E|Y|^2) of ``state``.  A non-finite value
+        crosses straight to level n_max.  Each crossing is tagged with
+        the window length delta(n), which is logged only and never gates
+        the stepper.
+        """
+        inv_norm = report.gram_inv_frobenius
+        y_norm = math.sqrt(kernels.mean_sq_norm(state.Y))
+        for which, value in (("inv_norm", inv_norm), ("y_norm", y_norm)):
+            base, first = self._levels[which]
+            if math.isfinite(value):
+                top = min(int(math.floor(value - base)), self.n_max)
+            else:
+                top = self.n_max
+            for n in range(first, top + 1):
+                delta = kernels.picard_delta_n(n, *self._window)
+                self.crossings.append(Crossing(n=n, t=report.t, which=which, delta_n=delta))
+            self._levels[which] = (base, max(first, top + 1))
+        return not math.isfinite(inv_norm) or inv_norm >= self.gamma_cap
 
     def restart(self, state):
         """Truncate at the event to a strictly smaller rank; returns
         (new state or None, RankEvent).  When no smaller rank keeps a mode
         but the Gram is invertible (a cap crossing at rank 1), re-factor
         at the kept rank instead.  Either way one unit of the restart
-        budget is used.  A halt (singular Gram with no mode kept, or the
-        budget spent) reports the untruncated spectrum."""
+        budget is used, and the policy re-attaches to the new state.  A
+        halt (singular Gram with no mode kept, or the budget spent)
+        reports the untruncated spectrum."""
         if self.restarts < self.max_restarts:
             new_state, event = truncate(state, self.sv_tolerance, max_rank=state.rank - 1)
             if new_state is None and math.isfinite(event.inv_norm_at_event):
                 new_state, event = truncate(state, self.sv_tolerance)
             if new_state is not None:
                 self.restarts += 1
+                self.attach(new_state)
                 return new_state, event
         return None, truncate(state, self.sv_tolerance)[1]
 

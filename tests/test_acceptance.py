@@ -27,7 +27,7 @@ from dosde.diagnostics import (
 from dosde.integrators import integrate
 from dosde.models import _rng, builtin, default_initial, whiten, InitialDatum
 from dosde.picard import picard_local_solve
-from dosde.rank_control import RestartPolicy, detect_explosion, noise_floor_bound
+from dosde.rank_control import RestartPolicy, noise_floor_bound
 
 
 def _report(num, title, ok, detail=""):
@@ -279,8 +279,8 @@ def test_09_explosion_detection_and_restart():
         traj = integrate(model, init, "do", model.horizon, dt, path, policy=policy)
         assert traj.completed and len(traj.events) == 1
 
-        exploded, T_e = detect_explosion(traj.diag, policy.gamma_cap)
-        assert exploded
+        # the policy's rank events are the explosion record
+        T_e = traj.events[0].t_event
         assert abs(T_e - 1.0) <= 0.05, T_e
 
         # at least 5 consecutive inverse-norm levels crossed, at

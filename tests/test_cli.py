@@ -1,6 +1,7 @@
 """End-to-end CLI checks through real subprocesses."""
 
 import csv
+import hashlib
 import os
 import subprocess
 import sys
@@ -170,10 +171,9 @@ run.out_dir = {out}
     assert "numerical failure" in proc.stderr
 
 
-def test_rank_one_cap_crossing_restarts_and_completes(tmp_path):
-    # A low cap makes the inverse-Gram norm cross it at rank 1 with the
-    # Gram still invertible: the run re-factors at rank 1 and goes on.
-    text = """
+# A low cap that the inverse-Gram norm crosses again after every restart,
+# down to rank 1, where the Gram is still invertible.
+CAP_RUN = """
 model.name = ou
 model.sigma = 0.3
 run.dim = 16
@@ -186,7 +186,13 @@ run.seed = 0
 run.record_stride = 10
 monitor.gamma_cap_factor = 1.3
 run.out_dir = {out}
-""".format(out=tmp_path / "out")
+"""
+
+
+def test_rank_one_cap_crossing_restarts_and_completes(tmp_path):
+    # A low cap makes the inverse-Gram norm cross it at rank 1 with the
+    # Gram still invertible: the run re-factors at rank 1 and goes on.
+    text = CAP_RUN.format(out=tmp_path / "out")
     proc = _run("simulate", _write(tmp_path, text))
     assert proc.returncode == 0, proc.stderr
     events = _rows(tmp_path / "out" / "events.csv")
@@ -194,6 +200,38 @@ run.out_dir = {out}
     assert any(e["old_rank"] == e["new_rank"] == "1" for e in events)
     traj = _rows(tmp_path / "out" / "trajectory.csv")
     assert float(traj[-1]["t"]) == 1.0
+
+
+def test_explosion_study_dates_the_first_rank_event(tmp_path):
+    # Each restart raises the cap to 1.3 x the new segment's base norm;
+    # T_e is the first event, not a rescan of the whole run against the
+    # last segment's cap (which no step reaches).
+    out = tmp_path / "out"
+    proc = _run("explosion-study", _write(tmp_path, CAP_RUN.format(out=out)))
+    assert proc.returncode == 0, proc.stderr
+    events = _rows(out / "events.csv")
+    assert len(events) == 6
+    exp = _rows(out / "explosion.csv")
+    assert exp == [{"exploded": "1", "T_e_estimate": events[0]["t"]}]
+    assert float(events[0]["t"]) == pytest.approx(0.15, abs=1e-12)
+
+
+def test_explosion_study_without_rank_events_reports_none(tmp_path):
+    # The reference stepper has no coefficient Gram: its NaN inverse norm
+    # is no blow-up.
+    text = BASE.format(out=tmp_path / "out").replace("run.scheme = do", "run.scheme = reference")
+    proc = _run("explosion-study", _write(tmp_path, text))
+    assert proc.returncode == 0, proc.stderr
+    assert _rows(tmp_path / "out" / "explosion.csv") == [
+        {"exploded": "0", "T_e_estimate": "nan"}
+    ]
+
+
+def test_compare_rejects_the_picard_scheme(tmp_path):
+    text = BASE.format(out=tmp_path / "out") + "compare.scheme_b = picard\n"
+    proc = _run("compare", _write(tmp_path, text))
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr and "compare.scheme_b" in proc.stderr
 
 
 def test_compare_reports_levels(tmp_path):
@@ -288,7 +326,6 @@ model.name = ou
 model.kappa = 0.25
 model.sigma = 0.25
 run.dim = 4
-run.scheme = picard
 run.t_end = 1.0
 run.dt = 1e-3
 run.n_atoms = 32
@@ -359,3 +396,156 @@ def test_self_test_passes():
     proc = _run("--self-test")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "FAIL" not in proc.stdout
+
+
+# Small configs, one per command and scheme family.  Their digests pin
+# every output but manifest.txt (which holds times and versions); a
+# refactor must leave them unchanged.
+_GOLDEN_RUNS = {
+    "simulate-do-ou": ("simulate", """
+model.name = ou
+model.sigma = 0.5
+run.dim = 4
+run.scheme = do
+run.t_end = 0.05
+run.dt = 1e-3
+run.n_atoms = 32
+run.rank = 2
+run.seed = 11
+run.record_stride = 10
+"""),
+    "simulate-reference-gbm_clipped": ("simulate", """
+model.name = gbm_clipped
+run.dim = 5
+run.scheme = reference
+run.t_end = 0.1
+run.dt = 0.01
+run.n_atoms = 64
+run.rank = 2
+run.seed = 1
+run.record_stride = 5
+"""),
+    "simulate-ambient-additive_floor": ("simulate", """
+model.name = additive_floor
+run.dim = 6
+run.scheme = ambient
+run.t_end = 0.1
+run.dt = 0.01
+run.n_atoms = 64
+run.rank = 3
+run.seed = 2
+run.record_stride = 5
+"""),
+    "compare-do-ambient": ("compare", """
+model.name = linear_lowrank
+run.dim = 8
+run.scheme = do
+compare.scheme_b = ambient
+compare.levels = 2
+run.t_end = 0.05
+run.dt = 5e-3
+run.n_atoms = 32
+run.rank = 2
+run.seed = 7
+"""),
+    "explosion-study-mode_crossing": ("explosion-study", """
+model.name = mode_crossing
+model.t_star = 1.0
+run.dim = 4
+run.scheme = do
+run.t_end = 1.2
+run.dt = 0.01
+run.n_atoms = 64
+run.rank = 2
+run.seed = 3
+run.record_stride = 10
+"""),
+    "picard-demo": ("picard-demo", """
+model.name = ou
+model.kappa = 0.25
+model.sigma = 0.25
+run.dim = 4
+run.n_atoms = 32
+run.rank = 1
+run.seed = 5
+picard.n_iters = 5
+picard.grid = 16
+"""),
+    "lipschitz-harness": ("lipschitz-harness", """
+model.name = ou
+run.dim = 4
+run.seed = 2
+harness.n_trials = 20
+"""),
+}
+
+# These digests were recorded on OpenBLAS's SkylakeX kernel; another
+# kernel may round a BLAS product differently (see README, Determinism).
+_GOLDEN_KERNEL = "SkylakeX"
+_GOLDEN_DIGESTS = {
+    "compare-do-ambient": {
+        "error_report.csv":
+            "bb21a30549f226bddad07f18a45cb130d893db477995e8dbed795518c8b31501",
+    },
+    "explosion-study-mode_crossing": {
+        "crossings.csv":
+            "3568069840d958c6963b665efeba73c4c03654f34dfacf759b1a0cde235ed105",
+        "diagnostics.csv":
+            "f409891ee2ca3136f467478356d273a745027d703ca9b7ee3f7c16da51184aac",
+        "events.csv":
+            "235ea26f6647ae2ea1712f73474a922365373cd95140d9ea5328f5d9e39c8cf6",
+        "explosion.csv":
+            "7a52ed2d355095a86ec94fe9f2432beeb586a9a4b7a0840c93aeaaf48281bc59",
+        "trajectory.csv":
+            "132ad3055eaf987ea857181dccfabc70144e930454e99551e0ae3e9435afc695",
+    },
+    "lipschitz-harness": {
+        "harness.csv":
+            "350b208ec235f98d81f83278355eb581e2d380c1f472bba1e6433ef4798c4c7d",
+    },
+    "picard-demo": {
+        "picard.csv":
+            "763a7b5935f56a240920adaad0562f52020a2f11a7d175a841b9eeede3a9b179",
+    },
+    "simulate-ambient-additive_floor": {
+        "diagnostics.csv":
+            "71dbc91dbdc02f3a3b7a5f2b372e1084932dff6c409c7297b484dfa182183151",
+        "events.csv":
+            "c92fdddabe1920dcf57935adf13c41660cd728bd587a804260bc7a92984aaed7",
+        "trajectory.csv":
+            "228a0a3159f55dbdb3f1a739151cf8e81a3ba6d8e14df26be40843aa54d2181d",
+    },
+    "simulate-do-ou": {
+        "diagnostics.csv":
+            "e69179337586687c82c53350d8e4f4502f6eab14c31f4e953d7385f545d00736",
+        "events.csv":
+            "c92fdddabe1920dcf57935adf13c41660cd728bd587a804260bc7a92984aaed7",
+        "trajectory.csv":
+            "3681ba26c9578fd319881862e0012afabd06311de8ad8d9a6cdcab97cbae23cb",
+    },
+    "simulate-reference-gbm_clipped": {
+        "diagnostics.csv":
+            "88becab81a604341415df38e1bbcd7404ea09710fca9fcdca74c5c84afce40b3",
+        "events.csv":
+            "c92fdddabe1920dcf57935adf13c41660cd728bd587a804260bc7a92984aaed7",
+        "trajectory.csv":
+            "9051d1c3d4e26ea3ba155572c9761050ac634a6036cf9bfded101b64ce13167d",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_RUNS))
+def test_cli_outputs_match_golden_digests(name, tmp_path):
+    from dosde import cli
+
+    if cli._blas_info()[0] != _GOLDEN_KERNEL:
+        pytest.skip("output digests were recorded on OpenBLAS %s" % _GOLDEN_KERNEL)
+    command, text = _GOLDEN_RUNS[name]
+    out = tmp_path / "out"
+    assert cli.main([command, _write(tmp_path, text), "--out", str(out)]) == 0
+    digests = {
+        f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+        for f in out.iterdir()
+        if f.name != "manifest.txt"
+    }
+    assert digests == _GOLDEN_DIGESTS[name]

@@ -129,7 +129,7 @@ def _configs(draw):
     return RunConfig(
         model_name=name,
         model_params=params,
-        scheme=draw(st.sampled_from(["do", "ambient", "reference", "picard"])),
+        scheme=draw(st.sampled_from(["do", "ambient", "reference"])),
         t_end=t_end,
         dt=t_end / draw(st.integers(1, 10000)),
         n_atoms=draw(st.integers(2, 100000)),

@@ -11,65 +11,83 @@ from dosde import kernels, paths
 from dosde.errors import NoFloorDeclared, ShapeMismatch
 from dosde.integrators import DoState, StepReport, integrate
 from dosde.models import builtin, default_initial, whiten
-from dosde.rank_control import (
-    ExplosionMonitor,
-    RestartPolicy,
-    detect_explosion,
-    monitor_update,
-    noise_floor_bound,
-    truncate,
-)
+from dosde.rank_control import RestartPolicy, noise_floor_bound, truncate
 
 
-def _monitor(base_inv=1.0, base_y=1.0, n_max=8):
-    return ExplosionMonitor(base_inv_norm=base_inv, base_Y_norm=base_y, n_max=n_max)
+def _policy(n_max=8):
+    """A policy attached to a rank-1 state in R^3 with ||C_Y^-1||_F =
+    E|Y|^2 = 1, so both monitored series start at base 1."""
+    policy = RestartPolicy(builtin("ou", d=3), n_max=n_max)
+    Y = np.array([[1.0], [-1.0]] * 8)
+    policy.attach(DoState(t=0.0, U=np.eye(1, 3), Y=Y))
+    return policy
+
+
+def _observe(policy, t, inv_norm, y_norm=1.0):
+    """Feed one step report and a state whose sqrt(E|Y|^2) is ``y_norm``;
+    returns the new crossings and the explosion verdict."""
+    before = len(policy.crossings)
+    report = StepReport(t, 0.0, 0.0, inv_norm, 1.0)
+    state = DoState(t=t, U=np.eye(1, 3), Y=np.full((16, 1), y_norm))
+    exploded = policy.observe(report, state)
+    return policy.crossings[before:], exploded
 
 
 def test_monitor_crosses_integer_levels_once():
-    mon = _monitor()
-    assert monitor_update(mon, 0.0, 1.5, 1.0) == []
-    new = monitor_update(mon, 0.1, 3.2, 1.0)
+    policy = _policy()
+    assert _observe(policy, 0.0, 1.5)[0] == []
+    new, _ = _observe(policy, 0.1, 3.2)
     assert [(c.n, c.which) for c in new] == [(1, "inv_norm"), (2, "inv_norm")]
     # already-crossed levels are not re-reported
-    assert monitor_update(mon, 0.2, 3.9, 1.0) == []
-    new = monitor_update(mon, 0.3, 4.1, 1.0)
+    assert _observe(policy, 0.2, 3.9)[0] == []
+    new, _ = _observe(policy, 0.3, 4.1)
     assert [(c.n, c.t) for c in new] == [(3, 0.3)]
+    # a restart re-attaches: levels count again from the new state's base
+    Y = np.random.default_rng(0).standard_normal((16, 2))
+    new_state, _ = policy.restart(DoState(t=0.4, U=np.eye(2, 3), Y=Y))
+    base = kernels.gram(new_state.Y).inv_frobenius
+    assert policy.gamma_cap == policy.cap_factor * base
+    new, _ = _observe(policy, 0.5, base + 1.5)
+    assert [(c.n, c.which) for c in new] == [(1, "inv_norm")]
 
 
 def test_monitor_tracks_both_series():
-    mon = _monitor()
-    new = monitor_update(mon, 0.5, 2.0, 3.5)
+    policy = _policy()
+    new, _ = _observe(policy, 0.5, 2.0, 3.5)
     assert {(c.which, c.n) for c in new} == {("inv_norm", 1), ("y_norm", 1), ("y_norm", 2)}
 
 
 def test_monitor_inf_jumps_to_cap():
-    mon = _monitor(n_max=5)
-    new = monitor_update(mon, 0.7, math.inf, 1.0)
+    policy = _policy(n_max=5)
+    new, exploded = _observe(policy, 0.7, math.inf)
     assert [c.n for c in new if c.which == "inv_norm"] == [1, 2, 3, 4, 5]
+    assert exploded
 
 
 def test_monitor_labels_crossings_with_windows():
-    mon = _monitor()
-    args = (2, 6, 2.0, 1.0, 1.0)
-    new = monitor_update(mon, 0.1, 3.0, 1.0, delta_args=args)
+    policy = _policy()
+    new, _ = _observe(policy, 0.1, 3.0)
     assert len(new) == 2
+    C_lgb = policy.model.C_lgb
     for c in new:
         assert c.delta_n == pytest.approx(
-            kernels.picard_delta_n(c.n, 2, 6, 2.0, 1.0, 1.0), rel=1e-15
+            kernels.picard_delta_n(c.n, 1, 3, C_lgb, 1.0, 1.0), rel=1e-15
         )
     # windows shrink with the level
     assert new[1].delta_n < new[0].delta_n
 
 
-def test_detect_explosion():
-    rows = [
-        StepReport(t=0.1, gauge_defect=0, ortho_defect=0, gram_inv_frobenius=2.0, lambda_min=1),
-        StepReport(t=0.2, gauge_defect=0, ortho_defect=0, gram_inv_frobenius=50.0, lambda_min=1),
-        StepReport(t=0.3, gauge_defect=0, ortho_defect=0, gram_inv_frobenius=math.inf, lambda_min=0),
-    ]
-    assert detect_explosion(rows, gamma_cap=40.0) == (True, 0.2)
-    assert detect_explosion(rows, gamma_cap=1e6) == (True, 0.3)
-    assert detect_explosion(rows[:1], gamma_cap=1e6) == (False, None)
+def test_observe_flags_explosion_at_cap_and_inf():
+    policy = _policy()
+    assert policy.gamma_cap == 1e8  # default factor x the base norm 1
+    assert _observe(policy, 0.1, 2.0)[1] is False
+    assert _observe(policy, 0.2, 1e8 * (1 - 1e-15))[1] is False
+    assert _observe(policy, 0.3, 1e8)[1] is True
+    assert _observe(policy, 0.4, 5e8)[1] is True
+    assert _observe(policy, 0.5, math.inf)[1] is True
+    assert _observe(policy, 0.6, math.nan)[1] is True
+    # the verdict reads the inverse norm only, not the ensemble norm
+    assert _observe(policy, 0.7, 2.0, y_norm=1e9)[1] is False
 
 
 def test_truncate_and_restart_planted_rank():
@@ -172,9 +190,13 @@ def test_restart_policy_detects_explosion_from_diag():
     path = paths.generate(23, n, 1e-3, 64, model.m)
     policy = RestartPolicy(model)
     traj = integrate(model, init, "do", model.horizon, 1e-3, path, policy=policy)
-    exploded, t_first = detect_explosion(traj.diag, policy.gamma_cap)
-    assert exploded
-    assert t_first == pytest.approx(1.0, abs=1e-9)
+    # the first rank event is the first step report the policy judged
+    # exploded: here the singular Gram at the planted collinearity
+    first = next(r.t for r in traj.diag if not math.isfinite(r.gram_inv_frobenius))
+    assert traj.events[0].t_event == first
+    assert first == pytest.approx(1.0, abs=1e-9)
+    assert all(r.gram_inv_frobenius < 1e8 * traj.diag[0].gram_inv_frobenius
+               for r in traj.diag if r.t < first)
 
 
 def test_restart_policy_budget_exhaustion():
