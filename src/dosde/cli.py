@@ -51,9 +51,16 @@ def _build_model(cfg):
     return builtin(cfg.model_name, d=cfg.dim, **cfg.model_params)
 
 
+# Trajectory rows formatted by one ``%`` each: long enough to amortise
+# the call, short enough that a block's text stays small.
+_CSV_BLOCK_ROWS = 4096
+
+
 def _write_trajectory(path, traj):
     """trajectory.csv, one recorded array at a time: a factored state
     writes U then Y, a full state X, each flattened row-major."""
+    from itertools import chain
+
     from .integrators import DoState
 
     with open(path, "w", encoding="utf-8") as fh:
@@ -65,7 +72,11 @@ def _write_trajectory(path, traj):
                 arrays = (("X", state.X),)
             for kind, a in arrays:
                 row = "%.17g,%s,%%d,%%.17g\n" % (state.t, kind)
-                fh.writelines(map(row.__mod__, enumerate(a.ravel().tolist())))
+                values = a.ravel().tolist()
+                for start in range(0, len(values), _CSV_BLOCK_ROWS):
+                    part = values[start:start + _CSV_BLOCK_ROWS]
+                    pairs = zip(range(start, start + len(part)), part)
+                    fh.write(row * len(part) % tuple(chain.from_iterable(pairs)))
 
 
 def _write_run_outputs(out_dir, cfg, traj, wall_time, command, model):
