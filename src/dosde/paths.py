@@ -3,9 +3,13 @@
 Each fine-grid step owns a Philox counter stream keyed by
 (seed, fine_step); atoms and channels are row-major positions inside
 that stream, so a given (seed, step, atom, channel) always yields the
-same draw no matter how the surrounding work is batched.  Normals come
-from the inverse CDF applied to 53-bit uniforms built from the raw
-counter output.
+same draw no matter how the surrounding work is batched.  The 64-bit
+output w becomes the uniform u = (floor(w / 2^11) + 1/2) 2^-53, and the
+normal is Phi^{-1}(u) by Wichura's AS241 (PPND16), computed in numpy
+with the coefficients and operation order of
+``statistics.NormalDist.inv_cdf``.  Central normals (|u - 1/2| <= 0.425)
+are the same bits on every machine; the tails go through ``np.log``,
+whose last bit may differ between numpy's SIMD targets.
 
 Refinement is dyadic: ``level`` selects how many fine steps make up one
 requested step, and coarse increments are defined as pairwise sums of
@@ -23,7 +27,10 @@ because both resolve the same finest grid.
 draws whole chunks of steps, about ``_CHUNK_ELEMENTS`` fine normals
 each, into one reused buffer, and coarsens inside each step in the same
 pairwise order as the whole tensor, so every increment has the same
-bits however it is reached.  Memory stays bounded for any step count.
+bits however it is reached.  Inside a chunk the normals are made in
+blocks of ``_BLOCK`` consecutive draws, uniform to scaled normal while
+the block is in cache; a normal's bits depend only on its uniform, so
+the blocking never shows.  Memory stays bounded for any step count.
 ``BrownianPath.increments`` materialises (and keeps) the whole
 (n_steps, N, m) tensor; only it is capped by MAX_ELEMENTS.
 """
@@ -32,7 +39,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import InvalidEnsemble, OverflowingDims
 
@@ -43,7 +49,44 @@ MAX_ELEMENTS = 1 << 27
 # a chunk always holds at least one whole step.
 _CHUNK_ELEMENTS = 1 << 21
 
+# Normals put through the central rational per pass: enough to amortise
+# numpy's per-call cost over its ~35 passes, few enough that its four
+# working arrays (1 MiB) stay in a core's L2 cache.
+_BLOCK = 1 << 15
+
+# Tail entries (about 15% of draws) put through the tail rationals
+# together, for the same reason.
+_TAIL_BATCH = 1 << 15
+
 _MASK64 = (1 << 64) - 1
+
+# Wichura's AS241 rational approximations (numerator, denominator),
+# highest power first.  Central: |q| <= 0.425 in r = 0.180625 - q^2;
+# near tail: r - 1.6; far tail (r > 5): r - 5, with r = sqrt(-log p).
+_CENTRAL = (
+    (2.50908_09287_30122_6727e+3, 3.34305_75583_58812_8105e+4, 6.72657_70927_00870_0853e+4,
+     4.59219_53931_54987_1457e+4, 1.37316_93765_50946_1125e+4, 1.97159_09503_06551_4427e+3,
+     1.33141_66789_17843_7745e+2, 3.38713_28727_96366_6080e+0),
+    (5.22649_52788_52854_5610e+3, 2.87290_85735_72194_2674e+4, 3.93078_95800_09271_0610e+4,
+     2.12137_94301_58659_5867e+4, 5.39419_60214_24751_1077e+3, 6.87187_00749_20579_0830e+2,
+     4.23133_30701_60091_1252e+1, 1.0),
+)
+_NEAR = (
+    (7.74545_01427_83414_07640e-4, 2.27238_44989_26918_45833e-2, 2.41780_72517_74506_11770e-1,
+     1.27045_82524_52368_38258e+0, 3.64784_83247_63204_60504e+0, 5.76949_72214_60691_40550e+0,
+     4.63033_78461_56545_29590e+0, 1.42343_71107_49683_57734e+0),
+    (1.05075_00716_44416_84324e-9, 5.47593_80849_95344_94600e-4, 1.51986_66563_61645_71966e-2,
+     1.48103_97642_74800_74590e-1, 6.89767_33498_51000_04550e-1, 1.67638_48301_83803_84940e+0,
+     2.05319_16266_37758_82187e+0, 1.0),
+)
+_FAR = (
+    (2.01033_43992_92288_13265e-7, 2.71155_55687_43487_57815e-5, 1.24266_09473_88078_43860e-3,
+     2.65321_89526_57612_30930e-2, 2.96560_57182_85048_91230e-1, 1.78482_65399_17291_33580e+0,
+     5.46378_49111_64114_36990e+0, 6.65790_46435_01103_77720e+0),
+    (2.04426_31033_89939_78564e-15, 1.42151_17583_16445_88870e-7, 1.84631_83175_10054_68180e-5,
+     7.86869_13114_56132_59100e-4, 1.48753_61290_85061_48525e-2, 1.36929_88092_27358_05310e-1,
+     5.99832_20655_58879_37690e-1, 1.0),
+)
 
 
 def philox(seed, counter):
@@ -51,14 +94,130 @@ def philox(seed, counter):
     return np.random.Philox(key=np.array([seed & _MASK64, counter & _MASK64], dtype=np.uint64))
 
 
-def _draw_normals(seed, fine_step, out):
-    """Fill ``out`` (a C-contiguous float64 (N, m) array) with one fine step's normals."""
-    raw = philox(seed, fine_step).random_raw(out.size).reshape(out.shape)
-    # 53-bit uniform strictly inside (0, 1): no CDF endpoint overflow.
-    raw >>= np.uint64(11)
-    np.add(raw, 0.5, out=out, casting="unsafe")
-    out *= 2.0**-53
-    ndtri(out, out=out)
+def _rekey(bitgen, seed, counter):
+    """Put ``bitgen`` in the state ``philox(seed, counter)`` starts in,
+    at a tenth of the cost of building a new one."""
+    zero = np.zeros(4, dtype=np.uint64)
+    key = np.array([seed & _MASK64, counter & _MASK64], dtype=np.uint64)
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": zero, "key": key},
+        "buffer": zero,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _horner(coef, r, out):
+    """``out`` = the polynomial ``coef`` (highest power first) at ``r``,
+    one multiply and one add per coefficient, as AS241 writes it."""
+    np.multiply(r, coef[0], out)
+    for c in coef[1:-1]:
+        out += c
+        out *= r
+    out += coef[-1]
+    return out
+
+
+def inverse_normal_cdf(u, scale=1.0):
+    """Overwrite ``u`` with ``scale`` times the standard normal quantiles
+    of its entries, and return it.
+
+    ``u`` is a C-contiguous float64 array with entries in (0, 1]; 1 is
+    read as 1 - 2^-53, the largest double below it.  This is Wichura's
+    AS241 with the coefficients and operation order of
+    ``statistics.NormalDist.inv_cdf``, so central entries
+    (|u - 1/2| <= 0.425) are its bits exactly.  The degree-7 central
+    rational runs on every entry; the tail rationals only on the tail
+    entries, gathered and scattered back.
+    """
+    flat = u.reshape(-1)
+    tail, u_tail, q_tail = _central_quantiles(flat, scale)
+    flat[tail] = _tail_quantiles(u_tail, q_tail, scale)
+    return u
+
+
+def _central_quantiles(u, scale):
+    """Overwrite the 1-d ``u`` with ``scale`` times AS241's central rational.
+
+    Returns the positions of the tail entries (|u - 1/2| > 0.425), which
+    this leaves wrong, with their u and u - 1/2.
+    """
+    q = u - 0.5
+    r = np.multiply(q, q)
+    np.subtract(0.180625, r, r)
+    # r < 0 is exactly |q| > 0.425: both tests flip at the same point of
+    # the 2^-54 grid that holds every u - 0.5 near 0.425.
+    tail = (r < 0.0).nonzero()[0]
+    u_tail, q_tail = u[tail], q[tail]
+    num = _horner(_CENTRAL[0], r, np.empty_like(r))
+    den = _horner(_CENTRAL[1], r, u)
+    num *= q
+    np.divide(num, den, u)
+    u *= scale
+    return tail, u_tail, q_tail
+
+
+def _tail_quantiles(u, q, scale):
+    """``scale`` times AS241's tail quantiles at ``u``, where
+    |q| = |u - 1/2| > 0.425."""
+    u = np.minimum(u, 1.0 - 2.0**-53)
+    r = np.subtract(1.0, u)
+    np.minimum(u, r, out=r)
+    np.log(r, r)
+    np.negative(r, r)
+    np.sqrt(r, r)
+    far = (r > 5.0).nonzero()[0]  # min(u, 1 - u) < e^-25
+    r_far = r[far] - 5.0
+    r -= 1.6
+    num = _horner(_NEAR[0], r, np.empty_like(r))
+    den = _horner(_NEAR[1], r, np.empty_like(r))
+    num[far] = _horner(_FAR[0], r_far, np.empty_like(r_far))
+    den[far] = _horner(_FAR[1], r_far, np.empty_like(r_far))
+    num /= den
+    np.copysign(num, q, num)
+    num *= scale
+    return num
+
+
+def _draw_normals(seed, first_step, out, scale):
+    """Fill ``out``, a C-contiguous float64 (steps, N, m) array, with
+    ``scale`` times the normals of fine steps first_step, first_step + 1, ...
+
+    Consecutive draws are taken ``_BLOCK`` at a time, across step
+    boundaries, and put through the central rational while they are in
+    cache.  Tail entries wait until about ``_TAIL_BATCH`` of them have
+    gathered, so the tail rationals run on arrays of that size.
+    """
+    flat = out.reshape(-1)
+    per_step = out[0].size
+    gen = np.random.Generator(philox(seed, first_step))
+    step, left = first_step, per_step
+    pending, waiting = [], 0
+    for pos in range(0, flat.size, _BLOCK):
+        block = flat[pos:pos + _BLOCK]
+        filled = 0
+        while filled < block.size:
+            if not left:
+                step += 1
+                _rekey(gen.bit_generator, seed, step)
+                left = per_step
+            take = min(left, block.size - filled)
+            # floor(w / 2^11) 2^-53 for the stream's next outputs w.
+            gen.random(out=block[filled:filled + take])
+            filled += take
+            left -= take
+        # u = (floor(w / 2^11) + 1/2) 2^-53, rounded to nearest even
+        # (so the top draw gives u = 1).
+        block += 2.0**-54
+        tail, u_tail, q_tail = _central_quantiles(block, scale)
+        pending.append((tail + pos, u_tail, q_tail))
+        waiting += tail.size
+        if waiting >= _TAIL_BATCH or pos + _BLOCK >= flat.size:
+            at, u_tail, q_tail = (np.concatenate(parts) for parts in zip(*pending))
+            flat[at] = _tail_quantiles(u_tail, q_tail, scale)
+            pending, waiting = [], 0
 
 
 @dataclass
@@ -153,9 +312,7 @@ class BrownianPath:
         """Draw steps start, start + 1, ... into ``out``, shape (count, N, m)."""
         per_step = 1 << self.level
         fine = out if self.level == 0 else np.empty((len(out) * per_step, self.N, self.m))
-        for i in range(len(fine)):
-            _draw_normals(self.seed, start * per_step + i, fine[i])
-        fine *= math.sqrt(self.dt / per_step)
+        _draw_normals(self.seed, start * per_step, fine, math.sqrt(self.dt / per_step))
         # Dyadic aggregation: each pass halves the step count exactly.  A
         # chunk starts on a step boundary, so every pair is the same pair
         # the whole-tensor passes would add.

@@ -2,13 +2,13 @@
 
 import csv
 import hashlib
+import math
 import os
 import subprocess
 import sys
 
 import numpy
 import pytest
-import scipy
 
 BASE = """
 model.name = ou
@@ -61,13 +61,15 @@ def test_simulate_outputs(tmp_path):
     for key in ("build = ", "command = simulate", "config_hash = ", "seed = 11", "wall_time_s = "):
         assert key in manifest, key
     assert "numpy = %s\n" % numpy.__version__ in manifest
-    assert "scipy = %s\n" % scipy.__version__ in manifest
+    assert "scipy" not in manifest
     fields = _manifest(out / "manifest.txt")
     # the CPU kernel does not depend on the thread count, so this process
     # loads the same one as the run did
-    from dosde.cli import _blas_info
+    from dosde.cli import _blas_info, _log_simd
 
     assert fields["blas_core"] == _blas_info()[0]
+    # so is numpy's SIMD target for log
+    assert fields["log_simd"] == _log_simd() and fields["log_simd"]
     if fields["blas_core"] == "unknown":
         assert fields["blas_threads"] == "unknown"
     else:
@@ -258,6 +260,35 @@ run.out_dir = {out}
     assert float(rows[1]["dt"]) == 2.5e-3
 
 
+@pytest.mark.parametrize("model, agree", [("gbm_clipped", True), ("additive_floor", False)])
+def test_compare_gives_a_rate_only_above_round_off(tmp_path, model, agree):
+    # gbm_clipped's drift is linear, so the do basis never moves and do
+    # and ambient agree to round-off: a sup error of a few ulps says
+    # nothing about a rate (it read -0.59 here before).  additive_floor's
+    # schemes differ by O(dt), and the rate is about 1.
+    text = """
+model.name = {model}
+run.dim = 8
+run.scheme = do
+compare.scheme_b = ambient
+compare.levels = 2
+run.t_end = 0.3
+run.dt = 0.01
+run.n_atoms = 257
+run.rank = 3
+run.seed = 3
+""".format(model=model)
+    from dosde import cli
+
+    out = tmp_path / "out"
+    assert cli.main(["compare", _write(tmp_path, text), "--out", str(out)]) == 0
+    rows = _rows(out / "error_report.csv")
+    assert [float(r["sup_error"]) < 1e-14 for r in rows] == [agree, agree]
+    assert math.isnan(float(rows[0]["rate_vs_prev"]))
+    rate = float(rows[1]["rate_vs_prev"])
+    assert math.isnan(rate) if agree else 0.9 < rate < 1.1
+
+
 def test_compare_shortened_run_exits_3(tmp_path):
     # the factored run halts at the planted collinearity t_star = 1, so
     # the comparison is not a complete result even though it is written
@@ -318,6 +349,27 @@ def test_dosde_threads_sets_blas_threads_in_effect():
     if proc.stdout.strip() == "none":
         pytest.skip("no OpenBLAS loaded")
     assert proc.stdout.strip() == "1"
+
+
+_LOADED_SCIPY = """
+import sys
+
+import dosde
+
+status = dosde.cli.main(["simulate", sys.argv[1]])
+print(status, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_a_run_loads_no_scipy(tmp_path):
+    # scipy is a test dependency only; the normals come from numpy.
+    cfg = _write(tmp_path, BASE.format(out=tmp_path / "out"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_SCIPY, cfg], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[-2] == "0 []"
+    assert (tmp_path / "out" / "trajectory.csv").exists()
 
 
 def test_picard_demo_outputs(tmp_path):
@@ -479,13 +531,16 @@ harness.n_trials = 20
 """),
 }
 
-# These digests were recorded on OpenBLAS's SkylakeX kernel; another
-# kernel may round a BLAS product differently (see README, Determinism).
+# These digests were recorded on OpenBLAS's SkylakeX kernel and numpy's
+# X86_V4 log; another kernel may round a BLAS product differently, and
+# another log target the last bit of a tail normal (see README,
+# Determinism).
 _GOLDEN_KERNEL = "SkylakeX"
+_GOLDEN_LOG_SIMD = "X86_V4"
 _GOLDEN_DIGESTS = {
     "compare-do-ambient": {
         "error_report.csv":
-            "bb21a30549f226bddad07f18a45cb130d893db477995e8dbed795518c8b31501",
+            "6d44b9709004ca5eb563eeb6145292919f2b75602d34e941be4ef8d40f5fa0e9",
     },
     "explosion-study-mode_crossing": {
         "crossings.csv":
@@ -505,23 +560,23 @@ _GOLDEN_DIGESTS = {
     },
     "picard-demo": {
         "picard.csv":
-            "763a7b5935f56a240920adaad0562f52020a2f11a7d175a841b9eeede3a9b179",
+            "e95aa7de0877742329c9ee9eba63b3f6337c861303cef235a3a8b2e58aac9478",
     },
     "simulate-ambient-additive_floor": {
         "diagnostics.csv":
-            "71dbc91dbdc02f3a3b7a5f2b372e1084932dff6c409c7297b484dfa182183151",
+            "dc99ee43d7095b507f795e3e3fb90867832f15e2afbf1b6561e26eb0d985739b",
         "events.csv":
             "c92fdddabe1920dcf57935adf13c41660cd728bd587a804260bc7a92984aaed7",
         "trajectory.csv":
-            "228a0a3159f55dbdb3f1a739151cf8e81a3ba6d8e14df26be40843aa54d2181d",
+            "062205fa37e49a2f984cbd8efeb7c6986730fd4aa653f6547bdfffef1eabcb45",
     },
     "simulate-do-ou": {
         "diagnostics.csv":
-            "e69179337586687c82c53350d8e4f4502f6eab14c31f4e953d7385f545d00736",
+            "f996680a332f606deee314594e48bd0bda1e79ae67add541e4856ae90f1eb18c",
         "events.csv":
             "c92fdddabe1920dcf57935adf13c41660cd728bd587a804260bc7a92984aaed7",
         "trajectory.csv":
-            "3681ba26c9578fd319881862e0012afabd06311de8ad8d9a6cdcab97cbae23cb",
+            "db485653d805efe040fc84aa8822dfe09d2471b4a286f1acae7de8daef928801",
     },
     "simulate-reference-gbm_clipped": {
         "diagnostics.csv":
@@ -529,7 +584,7 @@ _GOLDEN_DIGESTS = {
         "events.csv":
             "c92fdddabe1920dcf57935adf13c41660cd728bd587a804260bc7a92984aaed7",
         "trajectory.csv":
-            "9051d1c3d4e26ea3ba155572c9761050ac634a6036cf9bfded101b64ce13167d",
+            "9b4e2b51e632618a691cf807a1fa61970b6e8cc40a60bac0d72ff12369518f34",
     },
 }
 
@@ -538,8 +593,9 @@ _GOLDEN_DIGESTS = {
 def test_cli_outputs_match_golden_digests(name, tmp_path):
     from dosde import cli
 
-    if cli._blas_info()[0] != _GOLDEN_KERNEL:
-        pytest.skip("output digests were recorded on OpenBLAS %s" % _GOLDEN_KERNEL)
+    if (cli._blas_info()[0], cli._log_simd()) != (_GOLDEN_KERNEL, _GOLDEN_LOG_SIMD):
+        pytest.skip("output digests were recorded on OpenBLAS %s with numpy's %s log"
+                    % (_GOLDEN_KERNEL, _GOLDEN_LOG_SIMD))
     command, text = _GOLDEN_RUNS[name]
     out = tmp_path / "out"
     assert cli.main([command, _write(tmp_path, text), "--out", str(out)]) == 0

@@ -3,6 +3,7 @@ and the streamed path (bounded chunks, the same bits as the whole tensor)."""
 
 import hashlib
 import math
+import statistics
 import tracemalloc
 from unittest import mock
 
@@ -10,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
 
 from dosde import paths
+from dosde.cli import _log_simd
 from dosde.errors import InvalidEnsemble, OverflowingDims
 from dosde.integrators import integrate
 from dosde.models import builtin, default_initial
@@ -90,18 +91,67 @@ def test_dump_roundtrip(tmp_path):
     assert np.array_equal(back, p.increments)
 
 
+def _uniforms(seed, step, n):
+    """The first ``n`` uniforms of a fine step's stream, from its raw words."""
+    raw = paths.philox(seed, step).random_raw(n)
+    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
 def _whole_tensor(seed, n_steps, dt, N, m, level):
     """The whole-tensor generator: every fine step drawn, then coarsened."""
     n_fine = n_steps << level
     out = np.empty((n_fine, N, m))
     for s in range(n_fine):
-        raw = paths.philox(seed, s).random_raw(N * m)
-        u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        out[s] = ndtri(u).reshape(N, m)
+        out[s] = paths.inverse_normal_cdf(_uniforms(seed, s, N * m)).reshape(N, m)
     out *= math.sqrt(dt / (1 << level))
     for _ in range(level):
         out = out[0::2] + out[1::2]
     return out
+
+
+def _ulps(x, ref):
+    return np.abs(x - ref) / np.spacing(np.abs(ref))
+
+
+def test_inverse_normal_cdf_matches_statistics():
+    # Central entries are the stdlib's bits.  A tail entry is too wherever
+    # np.log and math.log agree on min(u, 1 - u); where they differ in the
+    # last bit (np.log follows numpy's SIMD target), it is within 4 ulp.
+    u = _uniforms(3, 0, 1 << 16)
+    x = paths.inverse_normal_cdf(u.copy())
+    ref = np.array([statistics.NormalDist().inv_cdf(v) for v in u.tolist()])
+    central = np.abs(u - 0.5) <= 0.425
+    assert 0.8 < central.mean() < 0.9
+    assert x[central].tobytes() == ref[central].tobytes()
+    p = np.minimum(u, 1.0 - u)[~central]
+    same_log = np.log(p) == np.array([math.log(v) for v in p.tolist()])
+    tail, tail_ref = x[~central], ref[~central]
+    assert tail[same_log].tobytes() == tail_ref[same_log].tobytes()
+    assert _ulps(tail, tail_ref).max() <= 4
+
+
+def test_inverse_normal_cdf_is_within_8_ulp_of_ndtri():
+    ndtri = pytest.importorskip("scipy.special").ndtri
+    e25 = math.exp(-25.0)  # the far tail starts at min(u, 1 - u) < e^-25
+    k = np.arange(-8.0, 9.0)
+    special = np.concatenate([
+        [2.0**-54, 1.0 - 2.0**-53],
+        e25 * (1.0 + k * 2.0**-52),
+        1.0 - e25 + k * 2.0**-53,
+        np.nextafter(0.075, [0.0, 1.0]), [0.075],
+        np.nextafter(0.925, [0.0, 1.0]), [0.925],
+    ])
+    u = np.concatenate([_uniforms(5, 0, 1 << 20), special])
+    x = paths.inverse_normal_cdf(u.copy())
+    assert _ulps(x, ndtri(u)).max() <= 8
+    assert x[-9:-3].tolist() == [statistics.NormalDist().inv_cdf(v) for v in u[-9:-3]]
+
+
+def test_inverse_normal_cdf_reads_one_as_the_largest_double_below_it():
+    # The top raw word gives u = 1: (2^53 - 1) + 1/2 rounds to even, 2^53.
+    assert (float(2**53 - 1) + 0.5) * 2.0**-53 == 1.0
+    x = paths.inverse_normal_cdf(np.array([1.0, 1.0 - 2.0**-53, 2.0**-54]))
+    assert x[0] == x[1] and 8.2 < x[0] < 8.3 and x[2] < -8.29
 
 
 @st.composite
@@ -110,19 +160,26 @@ def _streamed_cases(draw):
     N = draw(st.integers(min_value=1, max_value=9))
     m = draw(st.integers(min_value=1, max_value=4))
     level = draw(st.integers(min_value=0, max_value=3))
-    # Chunk budgets from below one step to more than the whole path.
+    # Chunk budgets from below one step to more than the whole path;
+    # transform blocks and tail batches from one draw to several steps.
     chunk = draw(st.integers(min_value=1, max_value=2 * (n_steps * N * m << level)))
+    block = draw(st.integers(min_value=1, max_value=64))
+    tail_batch = draw(st.integers(min_value=1, max_value=16))
     order = draw(st.one_of(st.just(list(range(n_steps))), st.permutations(range(n_steps))))
     seed = draw(st.integers(min_value=0, max_value=2**64 - 1))
-    return seed, n_steps, N, m, level, chunk, order
+    return seed, n_steps, N, m, level, (chunk, block, tail_batch), order
 
 
 @given(_streamed_cases(), st.sampled_from([1.0, 0.25, 1e-3, 0.3]))
 @settings(max_examples=80, deadline=None)
 def test_streamed_increments_match_the_whole_tensor(case, dt):
-    seed, n_steps, N, m, level, chunk, order = case
+    seed, n_steps, N, m, level, (chunk, block, tail_batch), order = case
     oracle = _whole_tensor(seed, n_steps, dt, N, m, level)
-    with mock.patch.object(paths, "_CHUNK_ELEMENTS", chunk):
+    with (
+        mock.patch.object(paths, "_CHUNK_ELEMENTS", chunk),
+        mock.patch.object(paths, "_BLOCK", block),
+        mock.patch.object(paths, "_TAIL_BATCH", tail_batch),
+    ):
         path = paths.generate(seed, n_steps, dt, N, m, level=level)
         for k in order:
             dW = path.increment(k)
@@ -155,19 +212,24 @@ def test_coarsened_equals_the_next_level():
 
 # SHA-256 of ``increments`` recorded with the whole-tensor generator.
 # The last two shapes cross chunk boundaries at the default budget.
+# Tail normals go through np.log, so the digests hold for numpy's
+# float64 log dispatch target they were recorded on.
+_GOLDEN_LOG_SIMD = "X86_V4"
 _GOLDEN = {
-    (0, 5, 0.01, 7, 3, 0): "5ce64778a7cd6d3295e034121893d68b1e92452236eb1345d72178203faa6c28",
-    (11, 9, 0.125, 33, 4, 0): "0870857b2d3314a6e8c4f16fa87716e5a3eb5074c48855e473b1eead5082c538",
-    (2**64 - 1, 3, 1.0, 1, 1, 0): "9f1fc48e79961ce5b4b8b22e37da67cfe7aa1d40a6d873861dd780806df6d1a9",
-    (3, 6, 0.5, 16, 2, 2): "a02dad5448b31356d291ae4565c533d09070f553901bd506f8200d7aad2e2b7f",
-    (12345, 5, 1e-3, 65, 5, 2): "f372104d7d1e39990d116766d9a1c955a52b77e90b66f6b6e90acb885c71e36d",
-    (7, 17, 1e-3, 4096, 32, 0): "2c2c567353a0785e28ea369f98a996d7c1dfde55ac9e4aeec4d781b4ae7e1cf9",
-    (9, 10, 1e-2, 1024, 64, 2): "9840282b274ff6400503409fba910f42f60070605d4476629296fcbb6e958898",
+    (0, 5, 0.01, 7, 3, 0): "1fb748262b0ed326c6c8caf829f3f1e407227e540564731cbb1640a7c185ab6d",
+    (11, 9, 0.125, 33, 4, 0): "d08a2b46a861907bb6f9dbb82eea2b0dc5e6907a8d383320cbc16c51280a8834",
+    (2**64 - 1, 3, 1.0, 1, 1, 0): "38bef4fbcb35559abc04ed0debb5675fac51663b4947e9639538308a01561ded",
+    (3, 6, 0.5, 16, 2, 2): "543267c3cccc0ae139a5b4044650cfa2c98fb0d0a7d375c0da705156cdeef2fd",
+    (12345, 5, 1e-3, 65, 5, 2): "5f227840801c202daf37e8f558aaccef41433508d890620ce544712beadc0a31",
+    (7, 17, 1e-3, 4096, 32, 0): "71477e6bc6210e603eb10844217da01f7f51c68de9939a53ddb6d42a07f44a60",
+    (9, 10, 1e-2, 1024, 64, 2): "4e25c4cf328a54ff3eae9ea3da7a065ef1751b7ab9ef83d63fcc62ac240b7f94",
 }
 
 
 @pytest.mark.parametrize("key", list(_GOLDEN), ids=lambda k: "x".join(map(str, k[1:])))
 def test_increments_match_golden_bits(key):
+    if _log_simd() != _GOLDEN_LOG_SIMD:
+        pytest.skip("path digests were recorded with numpy's %s log" % _GOLDEN_LOG_SIMD)
     assert hashlib.sha256(paths.generate(*key).increments.tobytes()).hexdigest() == _GOLDEN[key]
     path = paths.generate(*key)
     streamed = hashlib.sha256()
