@@ -114,9 +114,9 @@ def _horner(coef, r, out):
     one multiply and one add per coefficient, as AS241 writes it."""
     np.multiply(r, coef[0], out)
     for c in coef[1:-1]:
-        out += c
-        out *= r
-    out += coef[-1]
+        np.add(out, c, out)
+        np.multiply(out, r, out)
+    np.add(out, coef[-1], out)
     return out
 
 
@@ -133,8 +133,8 @@ def inverse_normal_cdf(u, scale=1.0):
     entries, gathered and scattered back.
     """
     flat = u.reshape(-1)
-    tail, u_tail, q_tail = _central_quantiles(flat, scale)
-    flat[tail] = _tail_quantiles(u_tail, q_tail, scale)
+    tail, u_tail = _central_quantiles(flat, scale)
+    flat[tail] = _tail_quantiles(u_tail, scale)
     return u
 
 
@@ -142,7 +142,7 @@ def _central_quantiles(u, scale):
     """Overwrite the 1-d ``u`` with ``scale`` times AS241's central rational.
 
     Returns the positions of the tail entries (|u - 1/2| > 0.425), which
-    this leaves wrong, with their u and u - 1/2.
+    this leaves wrong, and their u.
     """
     q = u - 0.5
     r = np.multiply(q, q)
@@ -150,18 +150,18 @@ def _central_quantiles(u, scale):
     # r < 0 is exactly |q| > 0.425: both tests flip at the same point of
     # the 2^-54 grid that holds every u - 0.5 near 0.425.
     tail = (r < 0.0).nonzero()[0]
-    u_tail, q_tail = u[tail], q[tail]
+    u_tail = u[tail]
     num = _horner(_CENTRAL[0], r, np.empty_like(r))
     den = _horner(_CENTRAL[1], r, u)
     num *= q
     np.divide(num, den, u)
     u *= scale
-    return tail, u_tail, q_tail
+    return tail, u_tail
 
 
-def _tail_quantiles(u, q, scale):
-    """``scale`` times AS241's tail quantiles at ``u``, where
-    |q| = |u - 1/2| > 0.425."""
+def _tail_quantiles(u, scale):
+    """``scale`` times AS241's tail quantiles at ``u``, all with
+    |u - 1/2| > 0.425."""
     u = np.minimum(u, 1.0 - 2.0**-53)
     r = np.subtract(1.0, u)
     np.minimum(u, r, out=r)
@@ -176,7 +176,7 @@ def _tail_quantiles(u, q, scale):
     num[far] = _horner(_FAR[0], r_far, np.empty_like(r_far))
     den[far] = _horner(_FAR[1], r_far, np.empty_like(r_far))
     num /= den
-    np.copysign(num, q, num)
+    np.copysign(num, u - 0.5, num)
     num *= scale
     return num
 
@@ -211,12 +211,12 @@ def _draw_normals(seed, first_step, out, scale):
         # u = (floor(w / 2^11) + 1/2) 2^-53, rounded to nearest even
         # (so the top draw gives u = 1).
         block += 2.0**-54
-        tail, u_tail, q_tail = _central_quantiles(block, scale)
-        pending.append((tail + pos, u_tail, q_tail))
+        tail, u_tail = _central_quantiles(block, scale)
+        pending.append((tail + pos, u_tail))
         waiting += tail.size
         if waiting >= _TAIL_BATCH or pos + _BLOCK >= flat.size:
-            at, u_tail, q_tail = (np.concatenate(parts) for parts in zip(*pending))
-            flat[at] = _tail_quantiles(u_tail, q_tail, scale)
+            at, u_tail = (np.concatenate(parts) for parts in zip(*pending))
+            flat[at] = _tail_quantiles(u_tail, scale)
             pending, waiting = [], 0
 
 
