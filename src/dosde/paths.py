@@ -133,25 +133,27 @@ def inverse_normal_cdf(u, scale=1.0):
     entries, gathered and scattered back.
     """
     flat = u.reshape(-1)
-    tail, u_tail = _central_quantiles(flat, scale)
+    tail, u_tail = _central_quantiles(flat, scale, np.empty((3, flat.size)))
     flat[tail] = _tail_quantiles(u_tail, scale)
     return u
 
 
-def _central_quantiles(u, scale):
-    """Overwrite the 1-d ``u`` with ``scale`` times AS241's central rational.
+def _central_quantiles(u, scale, work):
+    """Overwrite the 1-d ``u`` with ``scale`` times AS241's central rational,
+    using the rows of ``work``, a float64 (3, >= u.size) array, as scratch.
 
     Returns the positions of the tail entries (|u - 1/2| > 0.425), which
     this leaves wrong, and their u.
     """
-    q = u - 0.5
-    r = np.multiply(q, q)
+    q, r, num = work[:, :u.size]
+    np.subtract(u, 0.5, q)
+    np.multiply(q, q, r)
     np.subtract(0.180625, r, r)
     # r < 0 is exactly |q| > 0.425: both tests flip at the same point of
     # the 2^-54 grid that holds every u - 0.5 near 0.425.
     tail = (r < 0.0).nonzero()[0]
     u_tail = u[tail]
-    num = _horner(_CENTRAL[0], r, np.empty_like(r))
+    _horner(_CENTRAL[0], r, num)
     den = _horner(_CENTRAL[1], r, u)
     num *= q
     np.divide(num, den, u)
@@ -195,6 +197,7 @@ def _draw_normals(seed, first_step, out, scale):
     gen = np.random.Generator(philox(seed, first_step))
     step, left = first_step, per_step
     pending, waiting = [], 0
+    work = np.empty((3, min(_BLOCK, flat.size)))
     for pos in range(0, flat.size, _BLOCK):
         block = flat[pos:pos + _BLOCK]
         filled = 0
@@ -211,7 +214,7 @@ def _draw_normals(seed, first_step, out, scale):
         # u = (floor(w / 2^11) + 1/2) 2^-53, rounded to nearest even
         # (so the top draw gives u = 1).
         block += 2.0**-54
-        tail, u_tail = _central_quantiles(block, scale)
+        tail, u_tail = _central_quantiles(block, scale, work)
         pending.append((tail + pos, u_tail))
         waiting += tail.size
         if waiting >= _TAIL_BATCH or pos + _BLOCK >= flat.size:
