@@ -164,7 +164,7 @@ def _central_quantiles(u, scale, work):
 def _tail_quantiles(u, scale):
     """``scale`` times AS241's tail quantiles at ``u``, all with
     |u - 1/2| > 0.425."""
-    u = np.minimum(u, 1.0 - 2.0**-53)
+    u = np.minimum(u, 1.0 - 2.0**-53)  # u = 1, the top draw, has no quantile
     r = np.subtract(1.0, u)
     np.minimum(u, r, out=r)
     np.log(r, r)
