@@ -144,7 +144,13 @@ def test_inverse_normal_cdf_is_within_8_ulp_of_ndtri():
     u = np.concatenate([_uniforms(5, 0, 1 << 20), special])
     x = paths.inverse_normal_cdf(u.copy())
     assert _ulps(x, ndtri(u)).max() <= 8
-    assert x[-9:-3].tolist() == [statistics.NormalDist().inv_cdf(v) for v in u[-9:-3]]
+    # The branch edges straddle both branches; the central ones are the
+    # stdlib's bits.
+    edges_u, edges_x = u[-6:], x[-6:]
+    central = np.abs(edges_u - 0.5) <= 0.425
+    assert central.any() and not central.all()
+    ref = np.array([statistics.NormalDist().inv_cdf(v) for v in edges_u.tolist()])
+    assert edges_x[central].tobytes() == ref[central].tobytes()
 
 
 def test_inverse_normal_cdf_reads_one_as_the_largest_double_below_it():
