@@ -54,10 +54,6 @@ _CHUNK_ELEMENTS = 1 << 21
 # working arrays (1 MiB) stay in a core's L2 cache.
 _BLOCK = 1 << 15
 
-# Tail entries (about 15% of draws) put through the tail rationals
-# together, for the same reason.
-_TAIL_BATCH = 1 << 15
-
 _MASK64 = (1 << 64) - 1
 
 # Wichura's AS241 rational approximations (numerator, denominator),
@@ -94,21 +90,6 @@ def philox(seed, counter):
     return np.random.Philox(key=np.array([seed & _MASK64, counter & _MASK64], dtype=np.uint64))
 
 
-def _rekey(bitgen, seed, counter):
-    """Put ``bitgen`` in the state ``philox(seed, counter)`` starts in,
-    at a tenth of the cost of building a new one."""
-    zero = np.zeros(4, dtype=np.uint64)
-    key = np.array([seed & _MASK64, counter & _MASK64], dtype=np.uint64)
-    bitgen.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": zero, "key": key},
-        "buffer": zero,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
 def _horner(coef, r, out):
     """``out`` = the polynomial ``coef`` (highest power first) at ``r``,
     one multiply and one add per coefficient, as AS241 writes it."""
@@ -120,9 +101,9 @@ def _horner(coef, r, out):
     return out
 
 
-def inverse_normal_cdf(u, scale=1.0):
-    """Overwrite ``u`` with ``scale`` times the standard normal quantiles
-    of its entries, and return it.
+def inverse_normal_cdf(u):
+    """Overwrite ``u`` with the standard normal quantiles of its entries,
+    and return it.
 
     ``u`` is a C-contiguous float64 array with entries in (0, 1]; 1 is
     read as 1 - 2^-53, the largest double below it.  This is Wichura's
@@ -133,8 +114,8 @@ def inverse_normal_cdf(u, scale=1.0):
     entries, gathered and scattered back.
     """
     flat = u.reshape(-1)
-    tail, u_tail = _central_quantiles(flat, scale, np.empty((3, flat.size)))
-    flat[tail] = _tail_quantiles(u_tail, scale)
+    tail, u_tail = _central_quantiles(flat, 1.0, np.empty((3, flat.size)))
+    flat[tail] = _tail_quantiles(u_tail, 1.0)
     return u
 
 
@@ -188,15 +169,14 @@ def _draw_normals(seed, first_step, out, scale):
     ``scale`` times the normals of fine steps first_step, first_step + 1, ...
 
     Consecutive draws are taken ``_BLOCK`` at a time, across step
-    boundaries, and put through the central rational while they are in
-    cache.  Tail entries wait until about ``_TAIL_BATCH`` of them have
-    gathered, so the tail rationals run on arrays of that size.
+    boundaries, and made normals while they are in cache: the central
+    rational on the whole block, then the tail rationals on its tail
+    entries.
     """
     flat = out.reshape(-1)
     per_step = out[0].size
-    gen = np.random.Generator(philox(seed, first_step))
     step, left = first_step, per_step
-    pending, waiting = [], 0
+    gen = np.random.Generator(philox(seed, step))
     work = np.empty((3, min(_BLOCK, flat.size)))
     for pos in range(0, flat.size, _BLOCK):
         block = flat[pos:pos + _BLOCK]
@@ -204,7 +184,7 @@ def _draw_normals(seed, first_step, out, scale):
         while filled < block.size:
             if not left:
                 step += 1
-                _rekey(gen.bit_generator, seed, step)
+                gen = np.random.Generator(philox(seed, step))
                 left = per_step
             take = min(left, block.size - filled)
             # floor(w / 2^11) 2^-53 for the stream's next outputs w.
@@ -215,12 +195,7 @@ def _draw_normals(seed, first_step, out, scale):
         # (so the top draw gives u = 1).
         block += 2.0**-54
         tail, u_tail = _central_quantiles(block, scale, work)
-        pending.append((tail + pos, u_tail))
-        waiting += tail.size
-        if waiting >= _TAIL_BATCH or pos + _BLOCK >= flat.size:
-            at, u_tail = (np.concatenate(parts) for parts in zip(*pending))
-            flat[at] = _tail_quantiles(u_tail, scale)
-            pending, waiting = [], 0
+        block[tail] = _tail_quantiles(u_tail, scale)
 
 
 @dataclass
