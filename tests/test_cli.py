@@ -362,7 +362,7 @@ print(status, sorted(name for name in sys.modules if name.split(".")[0] == "scip
 
 
 def test_a_run_loads_no_scipy(tmp_path):
-    # scipy is a test dependency only; the normals come from numpy.
+    # No module of dosde imports scipy; the normals come from numpy.
     cfg = _write(tmp_path, BASE.format(out=tmp_path / "out"))
     proc = subprocess.run(
         [sys.executable, "-c", _LOADED_SCIPY, cfg], capture_output=True, text=True
