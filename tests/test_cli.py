@@ -500,6 +500,20 @@ run.n_atoms = 32
 run.rank = 2
 run.seed = 7
 """),
+    # do and ambient differ by O(dt) here: the rates are near 1, so this
+    # digest pins a convergence result, and three levels coarsen twice.
+    "compare-do-ambient-additive_floor": ("compare", """
+model.name = additive_floor
+run.dim = 6
+run.scheme = do
+compare.scheme_b = ambient
+compare.levels = 3
+run.t_end = 0.1
+run.dt = 0.01
+run.n_atoms = 64
+run.rank = 3
+run.seed = 4
+"""),
     "explosion-study-mode_crossing": ("explosion-study", """
 model.name = mode_crossing
 model.t_star = 1.0
@@ -541,6 +555,10 @@ _GOLDEN_DIGESTS = {
     "compare-do-ambient": {
         "error_report.csv":
             "6d44b9709004ca5eb563eeb6145292919f2b75602d34e941be4ef8d40f5fa0e9",
+    },
+    "compare-do-ambient-additive_floor": {
+        "error_report.csv":
+            "b533565db0c06ca427a6501a4cc9c48a1ade371d33473399b88d8801d92da76e",
     },
     "explosion-study-mode_crossing": {
         "crossings.csv":
