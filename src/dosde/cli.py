@@ -222,7 +222,8 @@ def _compare_level(cfg, model, initial, dt, path):
     recorded times of their L2 distance, the sup of the first scheme's
     ensemble L2 norm, and each run stripped to what ``_exit_status``
     reads (scheme, ``completed`` and the last event), so no level's
-    recorded states outlive it."""
+    recorded states outlive it.  The first scheme's states are recorded;
+    the second's are compared as they are made and not kept."""
     import math
     from dataclasses import replace
 
@@ -230,17 +231,25 @@ def _compare_level(cfg, model, initial, dt, path):
     from .integrators import integrate
     from .kernels import mean_sq_norm
 
-    runs = [
-        integrate(model, initial, scheme, cfg.t_end, dt, path, R=cfg.rank)
-        for scheme in (cfg.scheme, cfg.compare_scheme_b)
-    ]
+    first = integrate(model, initial, cfg.scheme, cfg.t_end, dt, path, R=cfg.rank)
     sup = scale = 0.0
-    for sa, sb in zip(runs[0].states, runs[1].states):
-        xa = sa.product()
-        sup = max(sup, l2_distance(xa, sb.product()))
-        scale = max(scale, math.sqrt(mean_sq_norm(xa)))
+    states_a = iter(first.states)
+
+    def compare(sb):
+        # Records pair up in order; a longer run's extra records go unpaired.
+        nonlocal sup, scale
+        sa = next(states_a, None)
+        if sa is not None:
+            xa = sa.product()
+            sup = max(sup, l2_distance(xa, sb.product()))
+            scale = max(scale, math.sqrt(mean_sq_norm(xa)))
+
+    second = integrate(
+        model, initial, cfg.compare_scheme_b, cfg.t_end, dt, path, R=cfg.rank, on_record=compare
+    )
     return sup, scale, [
-        replace(run, times=[], states=[], diag=[], events=run.events[-1:]) for run in runs
+        replace(run, times=[], states=[], diag=[], events=run.events[-1:])
+        for run in (first, second)
     ]
 
 
@@ -262,7 +271,7 @@ def cmd_compare(cfg, out_dir):
     n0 = int(round(cfg.t_end / cfg.dt))
     # All levels resolve the same finest grid: nested common noise.  It
     # is drawn once, finest level first; each coarser level is its
-    # pairwise sum, so at most two levels' increments are held at once.
+    # pairwise sum, made in place, so one tensor holds every level in turn.
     top = levels - 1
     path = paths.generate(cfg.seed, n0 << top, cfg.dt / (1 << top), cfg.n_atoms, model.m)
     path.increments  # draw it once for both schemes and the next level

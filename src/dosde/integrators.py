@@ -242,6 +242,7 @@ def integrate(
     record_stride=1,
     policy=None,
     R=None,
+    on_record=None,
 ):
     """Drive one scheme from t=0 to t_end on a fixed grid.
 
@@ -260,6 +261,9 @@ def integrate(
         exploded; ``restart(state) -> (DoState | None, RankEvent)``
         refactors at the event and re-attaches itself to the new state.
     R : rank for the ambient scheme (defaults to the initial rank).
+    on_record : optional callable that receives each recorded state, the
+        initial one included, in place of ``traj.states`` (which then
+        stays empty); ``traj.times`` is kept either way.
 
     Without a policy only a singular Gram (SingularGram) explodes; the
     run records a halt event and returns with ``completed=False``.  With
@@ -304,8 +308,10 @@ def integrate(
 
     # Steppers return fresh states, so snapshots need no copy.
     traj = Trajectory(
-        scheme=scheme, times=[0.0], states=[state], diag=[], events=[], completed=True
+        scheme=scheme, times=[0.0], states=[], diag=[], events=[], completed=True
     )
+    record = traj.states.append if on_record is None else on_record
+    record(state)
     if policy is not None:
         policy.attach(state)
 
@@ -337,5 +343,5 @@ def integrate(
                 break
         if not singular and (k % record_stride == 0 or k == n_steps):
             traj.times.append(state.t)
-            traj.states.append(state)
+            record(state)
     return traj

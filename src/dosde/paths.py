@@ -33,6 +33,9 @@ the block is in cache; a normal's bits depend only on its uniform, so
 the blocking never shows.  Memory stays bounded for any step count.
 ``BrownianPath.increments`` materialises (and keeps) the whole
 (n_steps, N, m) tensor; only it is capped by MAX_ELEMENTS.
+``BrownianPath.coarsened`` sums that tensor's step pairs into its own
+first half and hands it to the coarser path, so a dyadic ladder of
+levels holds one tensor at a time.
 """
 
 import math
@@ -45,9 +48,9 @@ from .errors import InvalidEnsemble, OverflowingDims
 # Memory budget for one materialised path tensor, in float64 elements (~1 GiB).
 MAX_ELEMENTS = 1 << 27
 
-# Fine-grid normals drawn per streamed chunk, in float64 elements (16 MiB);
+# Fine-grid normals drawn per streamed chunk, in float64 elements (2 MiB);
 # a chunk always holds at least one whole step.
-_CHUNK_ELEMENTS = 1 << 21
+_CHUNK_ELEMENTS = 1 << 18
 
 # Normals put through the central rational per pass: enough to amortise
 # numpy's per-call cost over its ~35 passes, few enough that its four
@@ -266,15 +269,21 @@ class BrownianPath:
 
         Bit-identical to ``generate(seed, n_steps // 2, 2 * dt, N, m,
         level + 1)``, made from the materialised increments by one
-        pairwise pass instead of a fresh draw.
+        pairwise pass instead of a fresh draw.  The pass writes step k's
+        pair sum over step k of the same tensor, which the coarse path
+        then keeps; this path drops it and draws again if asked.
         """
         if self.n_steps % 2:
             raise InvalidEnsemble("cannot coarsen a path of %d steps" % self.n_steps)
         fine = self.increments
-        out = BrownianPath(
-            self.seed, self.n_steps // 2, 2 * self.dt, self.N, self.m, self.level + 1
-        )
-        out._tensor = fine[0::2] + fine[1::2]
+        half = self.n_steps // 2
+        # Step k's pair (2k, 2k + 1) is never a step an earlier k wrote.
+        # One step at a time needs no buffer; whole strided slices would.
+        for k in range(half):
+            np.add(fine[2 * k], fine[2 * k + 1], out=fine[k])
+        out = BrownianPath(self.seed, half, 2 * self.dt, self.N, self.m, self.level + 1)
+        out._tensor = fine[:half]
+        self._tensor = None
         return out
 
     def dump(self, path):

@@ -30,17 +30,17 @@ from .integrators import _noise
 
 @dataclass
 class PicardResult:
-    """Iterates and their decay numbers.
+    """End-of-window iterates and their decay numbers.
 
-    ``U_iters[n]`` has shape (K+1, R, d) and ``Y_iters[n]`` shape
-    (K+1, N, R) where K is the grid step count; index 0 is the constant
-    starting pair.  ``sup_differences[n-1]`` is Delta_n, and the two
-    ball diagnostics list sup_t ||U||_F^2 and E[sup_t |Y|^2] per iterate.
+    ``U_end[n]`` (R x d) and ``Y_end[n]`` (N x R) are iterate n at the
+    last grid point, t = K h; index 0 is the constant starting pair.
+    ``sup_differences[n-1]`` is Delta_n, and the two ball diagnostics
+    list sup_t ||U||_F^2 and E[sup_t |Y|^2] per iterate.
     """
 
     times: np.ndarray
-    U_iters: list
-    Y_iters: list
+    U_end: list
+    Y_end: list
     sup_differences: list
     sup_U_sq: list
     exp_sup_Y_sq: list
@@ -53,9 +53,21 @@ def picard_local_solve(model, U0, Y0, path, n_iters=7):
     width path.dt.  Raises SingularGram when an iterate's coefficient
     Gram (or an iterate's row Gram) degenerates, i.e. the iterate left
     the admissible ball.
+
+    All sweeps run in one pass over the grid.  Iterate n at grid point
+    j + 1 needs only iterate n - 1 up to point j, so at each point the
+    iterates advance from the last down to the first, each from its
+    predecessor's current value; ``path.increment(j)`` is read once and
+    only the iterates' current values are held.  The panel sums add in
+    ``cumsum``'s order and the sups are running maxima, so every number
+    has the bits of sweeping one iterate at a time over the whole grid.
+    A failure stops its iterate and every later one, and the failure of
+    the earliest iterate is raised at the end, as that sweep order would.
     """
-    U0 = np.asarray(U0, dtype=float)
-    Y0 = kernels.as_ensemble(Y0, "Y0")
+    # Row-major whatever the caller passed: a sum of squares adds in
+    # memory order.
+    U0 = np.ascontiguousarray(U0, dtype=float)
+    Y0 = np.ascontiguousarray(kernels.as_ensemble(Y0, "Y0"))
     R, d = U0.shape
     N = Y0.shape[0]
     if Y0.shape[1] != R:
@@ -66,62 +78,77 @@ def picard_local_solve(model, U0, Y0, path, n_iters=7):
     h = path.dt
     times = np.arange(K + 1) * h
 
-    U_traj = np.broadcast_to(U0, (K + 1, R, d)).copy()
-    Y_traj = np.broadcast_to(Y0, (K + 1, N, R)).copy()
-    U_iters = [U_traj]
-    Y_iters = [Y_traj]
-    sup_differences = []
-    sup_U_sq = [float(np.max(np.sum(U_traj**2, axis=(1, 2))))]
-    exp_sup_Y_sq = [_exp_sup_sq(Y_traj)]
+    # Iterate n's value at the current grid point, and its panel sums so far.
+    U = [U0] * (n_iters + 1)
+    Y = [Y0] * (n_iters + 1)
+    U_sum = [None] * (n_iters + 1)
+    Y_sum = [None] * (n_iters + 1)
+    # Running maxima over the grid points passed so far, per iterate.
+    sup_U = np.full(n_iters + 1, -np.inf)
+    sup_Y = np.full((n_iters + 1, N), -np.inf)
+    diff_U = np.full(n_iters + 1, -np.inf)
+    diff_Y = np.full((n_iters + 1, N), -np.inf)
+    live = n_iters  # iterates 1..live have not failed
+    failure = None
 
-    for n in range(1, n_iters + 1):
-        U_prev, Y_prev = U_iters[-1], Y_iters[-1]
-        dU = np.empty((K, R, d))
-        dY_drift = np.empty((K, N, R))
-        dY_noise = np.empty((K, N, R))
-        for j in range(K):
-            Uj = U_prev[j]
-            Yj = Y_prev[j]
-            rep = kernels.gram(Yj)
-            if rep.inverse is None:
-                raise SingularGram(
-                    "iterate %d left the admissible ball at grid point %d" % (n, j),
-                    report=rep,
-                )
-            Xj = Yj @ Uj
-            aj = model.drift(times[j], Xj)
-            bj = model.diffusion(times[j], Xj)
-            G = kernels.mean_outer(Yj, aj)
+    def observe():
+        for n in range(live + 1):
+            sup_U[n] = np.maximum(sup_U[n], np.sum(U[n] ** 2))
+            np.maximum(sup_Y[n], np.sum(Y[n] ** 2, axis=1), out=sup_Y[n])
+            if n:
+                diff_U[n] = np.maximum(diff_U[n], np.sum((U[n] - U[n - 1]) ** 2))
+                np.maximum(diff_Y[n], np.sum((Y[n] - Y[n - 1]) ** 2, axis=1), out=diff_Y[n])
+
+    for j in range(K):
+        if not live:
+            break
+        observe()
+        dW = path.increment(j)
+        for n in range(live, 0, -1):
             try:
-                P = kernels.projector_row(Uj)
-            except SingularRowGram as err:
-                raise SingularGram(
-                    "iterate %d has a singular row Gram at grid point %d" % (n, j)
-                ) from err
-            dU[j] = rep.inverse @ (G - G @ P)
-            dY_drift[j] = aj @ Uj.T
-            dY_noise[j] = _noise(model, bj, path.increments[j], Uj)
-        U_new = np.concatenate([U0[None], U0[None] + np.cumsum(dU * h, axis=0)])
-        incr = dY_drift * h + dY_noise
-        Y_new = np.concatenate([Y0[None], Y0[None] + np.cumsum(incr, axis=0)])
-        delta = float(np.max(np.sum((U_new - U_prev) ** 2, axis=(1, 2))))
-        delta += _exp_sup_sq(Y_new - Y_prev)
-        sup_differences.append(delta)
-        sup_U_sq.append(float(np.max(np.sum(U_new**2, axis=(1, 2)))))
-        exp_sup_Y_sq.append(_exp_sup_sq(Y_new))
-        U_iters.append(U_new)
-        Y_iters.append(Y_new)
+                dU, dY_drift, dY_noise = _panel(model, times[j], U[n - 1], Y[n - 1], dW, n, j)
+            except Exception as err:  # raised once no earlier iterate can fail first
+                failure, live = err, n - 1
+                continue
+            x = dU * h
+            U_sum[n] = x if j == 0 else U_sum[n] + x
+            U[n] = U0 + U_sum[n]
+            x = dY_drift * h + dY_noise
+            Y_sum[n] = x if j == 0 else Y_sum[n] + x
+            Y[n] = Y0 + Y_sum[n]
+    if failure is not None:
+        raise failure
+    observe()
+    mean = kernels.ensemble_mean
+    deltas = [float(diff_U[n]) + float(mean(diff_Y[n])) for n in range(1, n_iters + 1)]
     return PicardResult(
         times=times,
-        U_iters=U_iters,
-        Y_iters=Y_iters,
-        sup_differences=sup_differences,
-        sup_U_sq=sup_U_sq,
-        exp_sup_Y_sq=exp_sup_Y_sq,
+        U_end=U,
+        Y_end=Y,
+        sup_differences=deltas,
+        sup_U_sq=[float(v) for v in sup_U],
+        exp_sup_Y_sq=[float(mean(v)) for v in sup_Y],
     )
 
 
-def _exp_sup_sq(Y_traj):
-    """E[sup_t |Y_t|^2]: per-atom sup over the grid, then ensemble mean."""
-    per_atom_sup = np.max(np.sum(Y_traj**2, axis=2), axis=0)
-    return float(kernels.ensemble_mean(per_atom_sup))
+def _panel(model, t, Uj, Yj, dW, n, j):
+    """The left-point integrands at grid point j from iterate n - 1's
+    value (Uj, Yj) there: dU/dt, the coefficient drift and the noise
+    increment of iterate n."""
+    rep = kernels.gram(Yj)
+    if rep.inverse is None:
+        raise SingularGram(
+            "iterate %d left the admissible ball at grid point %d" % (n, j),
+            report=rep,
+        )
+    Xj = Yj @ Uj
+    aj = model.drift(t, Xj)
+    bj = model.diffusion(t, Xj)
+    G = kernels.mean_outer(Yj, aj)
+    try:
+        P = kernels.projector_row(Uj)
+    except SingularRowGram as err:
+        raise SingularGram(
+            "iterate %d has a singular row Gram at grid point %d" % (n, j)
+        ) from err
+    return rep.inverse @ (G - G @ P), aj @ Uj.T, _noise(model, bj, dW, Uj)

@@ -623,3 +623,28 @@ def test_cli_outputs_match_golden_digests(name, tmp_path):
         if f.name != "manifest.txt"
     }
     assert digests == _GOLDEN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name, fine_steps", [
+    ("compare-do-ambient-additive_floor", 40),
+    ("picard-demo", 16),
+])
+def test_each_fine_normal_is_drawn_once(name, fine_steps, tmp_path, monkeypatch):
+    # Small chunks split both compare's materialised finest path and
+    # Picard's streamed one into several draws; together they cover each
+    # fine step once: compare's coarser levels and Picard's later
+    # iterates draw nothing.
+    from dosde import cli, paths
+
+    drawn = []
+    draw = paths._draw_normals
+
+    def counting(seed, first_step, out, scale):
+        drawn.extend(range(first_step, first_step + len(out)))
+        return draw(seed, first_step, out, scale)
+
+    monkeypatch.setattr(paths, "_draw_normals", counting)
+    monkeypatch.setattr(paths, "_CHUNK_ELEMENTS", 1000)
+    command, text = _GOLDEN_RUNS[name]
+    assert cli.main([command, _write(tmp_path, text), "--out", str(tmp_path / "out")]) == 0
+    assert sorted(drawn) == list(range(fine_steps))

@@ -402,12 +402,33 @@ def test_noise_forms_match_the_dense_oracle(case):
     expect = do_dense.Y @ do_dense.U
     assert np.max(np.abs(do.Y @ do.U - expect)) <= 1e-12 * max(1.0, np.max(np.abs(expect)))
 
-    sweeps = picard_local_solve(model, U, Y, path, n_iters=2)
-    sweeps_dense = picard_local_solve(dense, U, Y, path, n_iters=2)
-    for U_it, U_dense in zip(sweeps.U_iters, sweeps_dense.U_iters, strict=True):
-        assert np.allclose(U_it, U_dense, atol=1e-15)
-    for Y_it, Y_dense in zip(sweeps.Y_iters, sweeps_dense.Y_iters, strict=True):
-        assert np.allclose(Y_it, Y_dense, atol=1e-13)
+    # Every iterate at every grid point j, as the end of a j-step window
+    # whose increments are the first j of the path's.
+    for j in range(1, path.n_steps + 1):
+        prefix = paths.generate(seed, j, dt, N, model.m)
+        sweeps = picard_local_solve(model, U, Y, prefix, n_iters=2)
+        sweeps_dense = picard_local_solve(dense, U, Y, prefix, n_iters=2)
+        for U_it, U_dense in zip(sweeps.U_end, sweeps_dense.U_end, strict=True):
+            assert np.allclose(U_it, U_dense, atol=1e-15)
+        for Y_it, Y_dense in zip(sweeps.Y_end, sweeps_dense.Y_end, strict=True):
+            assert np.allclose(Y_it, Y_dense, atol=1e-13)
+
+
+@pytest.mark.parametrize("scheme", ["do", "ambient", "reference"])
+def test_on_record_receives_the_recorded_states(scheme):
+    model = builtin("ou", d=3)
+    init = default_initial(model, N=16, R=2, seed=0)
+    path = paths.generate(0, 23, 1e-2, 16, model.m)
+    kept = integrate(model, init, scheme, 0.23, 1e-2, path, record_stride=5, R=2)
+    seen = []
+    traj = integrate(
+        model, init, scheme, 0.23, 1e-2, path, record_stride=5, R=2, on_record=seen.append
+    )
+    assert traj.states == []
+    assert traj.times == kept.times == [0.0, 0.05, 0.1, 0.15, 0.2, 0.23]
+    assert [s.t for s in seen] == kept.times
+    for a, b in zip(seen, kept.states, strict=True):
+        assert a.product().tobytes() == b.product().tobytes()
 
 
 @settings(max_examples=30, deadline=None)

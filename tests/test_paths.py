@@ -214,6 +214,34 @@ def test_coarsened_equals_the_next_level():
         paths.generate(5, 3, 0.05, 9, 3).coarsened()
 
 
+@pytest.mark.parametrize("n_steps", [2, 6, 24, 40])
+def test_coarsened_ladder_equals_each_level(n_steps):
+    # Each level overwrites the tensor it came from; every rung still has
+    # the bits of its own draw, and a coarsened path draws again if asked.
+    path = paths.generate(8, n_steps, 0.01, 5, 2)
+    level = 0
+    while path.n_steps % 2 == 0:
+        fine, path = path, path.coarsened()
+        level += 1
+        direct = paths.generate(8, n_steps >> level, 0.01 * (1 << level), 5, 2, level=level)
+        assert path.increments.tobytes() == direct.increments.tobytes()
+    redrawn = paths.generate(8, fine.n_steps, fine.dt, 5, 2, level=fine.level)
+    assert fine.increments.tobytes() == redrawn.increments.tobytes()
+
+
+def test_coarsened_allocates_no_second_tensor():
+    fine = paths.generate(9, 64, 0.01, 128, 8)
+    tensor_bytes = fine.increments.nbytes
+    tracemalloc.start()
+    try:
+        coarse = fine.coarsened()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tensor_bytes / 64  # a separate coarse tensor is tensor_bytes / 2
+    assert coarse.increments.base is not None and fine._tensor is None
+
+
 # SHA-256 of ``increments`` recorded with the whole-tensor generator.
 # The last two shapes cross chunk boundaries at the default budget.
 # Tail normals go through np.log, so the digests hold for numpy's
