@@ -574,7 +574,7 @@ _GOLDEN_DIGESTS = {
     },
     "lipschitz-harness": {
         "harness.csv":
-            "350b208ec235f98d81f83278355eb581e2d380c1f472bba1e6433ef4798c4c7d",
+            "a73e0f73b3e6d2265ca3abd96b536e023cd452afbefd32e9404c91b37ea71d6c",
     },
     "picard-demo": {
         "picard.csv":

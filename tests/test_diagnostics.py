@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from dosde import paths
+from dosde import kernels, paths
 from dosde.errors import InsufficientData, InvalidEnsemble, ShapeMismatch
 from dosde.integrators import integrate
 from dosde.models import builtin, default_initial
 from dosde.diagnostics import (
+    _planted_rank_R,
+    _truncate_rank,
     holder_estimator,
     l2_distance,
     moment_estimator,
@@ -131,3 +133,39 @@ def test_lipschitz_harness_small_batch():
     assert 0.0 < rep.max_ratio_U <= 1.0
     assert 0.0 < rep.max_ratio_V <= 1.0
     assert 0.0 < rep.max_ratio_combined <= 1.0
+
+
+def _combined_oracle(P_V, P_U):
+    """Matrix of F -> F P_U + P_V F - P_V F P_U on row-major vec(F)."""
+    I_N, I_d = np.eye(P_V.shape[0]), np.eye(P_U.shape[0])
+    return np.kron(I_N, P_U) + np.kron(P_V, I_d) - np.kron(P_V, P_U)
+
+
+def test_lipschitz_harness_combined_norm_matches_the_kronecker_svd():
+    # The harness's closed form for the combined projector against the
+    # 2-norm of the (N d) x (N d) Kronecker matrix, trial by trial, on
+    # the harness's own trials.
+    n_trials, N, d, R, seed = 25, 32, 8, 3, 0
+    max_c = 0.0
+    for trial in range(n_trials):
+        rng = np.random.Generator(paths.philox(seed, trial))
+        X, sigma_R = _planted_rank_R(rng, N, d, R)
+        eps = 0.4 * rng.uniform(0.1, 1.0) * sigma_R / R
+        D = rng.standard_normal((N, d))
+        D /= math.sqrt(kernels.mean_sq_norm(D))
+        Xhat = _truncate_rank(X + eps * D, R)
+        dist = math.sqrt(kernels.mean_sq_norm(X - Xhat))
+        fac, fac_h = kernels.second_moment_svd(X), kernels.second_moment_svd(Xhat)
+        P_U, P_Uh = fac.Q[:, :R] @ fac.Q[:, :R].T, fac_h.Q[:, :R] @ fac_h.Q[:, :R].T
+        P_V = fac.phis[:, :R] @ fac.phis[:, :R].T / N
+        P_Vh = fac_h.phis[:, :R] @ fac_h.phis[:, :R].T / N
+        n_u = float(np.linalg.norm(P_U - P_Uh, 2))
+        n_v = float(np.linalg.norm(P_V - P_Vh, 2))
+        closed = math.sqrt(n_u * n_u + n_v * n_v - n_u * n_u * n_v * n_v)
+        oracle = float(
+            np.linalg.norm(_combined_oracle(P_V, P_U) - _combined_oracle(P_Vh, P_Uh), 2)
+        )
+        assert closed == pytest.approx(oracle, rel=1e-12, abs=0.0)
+        max_c = max(max_c, oracle / (3.0 * (R / sigma_R) * dist))
+    rep = projector_lipschitz_harness(n_trials=n_trials, N=N, d=d, R=R, seed=seed)
+    assert rep.max_ratio_combined == pytest.approx(max_c, rel=1e-12, abs=0.0)
