@@ -49,19 +49,9 @@ def rotation_equivariance_check(model, U0, Y0, theta, path, t_end, dt):
         raise ShapeMismatch("theta must be %d x %d" % (R, R))
     if float(np.linalg.norm(theta @ theta.T - np.eye(R))) > 1e-12:
         raise InvalidEnsemble("theta is not orthogonal within 1e-12")
-    from .models import InitialDatum  # deferred: models imports kernels only
-
-    base = integrate(
-        model, InitialDatum(U=U0, Y=Y0), "do", t_end, dt, path, record_stride=1
-    )
+    base = integrate(model, DoState(t=0.0, U=U0, Y=Y0), "do", t_end, dt, path)
     rot = integrate(
-        model,
-        InitialDatum(U=theta @ U0, Y=Y0 @ theta.T),
-        "do",
-        t_end,
-        dt,
-        path,
-        record_stride=1,
+        model, DoState(t=0.0, U=theta @ U0, Y=Y0 @ theta.T), "do", t_end, dt, path
     )
     sup_U = 0.0
     sup_Y = 0.0
@@ -163,14 +153,6 @@ def holder_estimator(traj, k=1, gaps=None):
     return HolderFit(gaps=gaps_used, moments=moments, slope=slope, k=k)
 
 
-def second_moment_rank_track(traj, rel_threshold=kernels.EPS_RANK):
-    """Numerical rank of E[X X^T] at each recorded time."""
-    ranks = []
-    for state in traj.states:
-        ranks.append(kernels.second_moment_svd(state.product(), rel_threshold=rel_threshold).rank)
-    return np.array([s.t for s in traj.states]), np.array(ranks)
-
-
 @dataclass
 class LipschitzHarnessReport:
     """Worst observed/allowed ratios over all trials (should be <= 1)."""
@@ -185,11 +167,11 @@ def projector_lipschitz_harness(n_trials=1000, N=32, d=8, R=3, seed=0):
     """Certify the projector perturbation bounds on random rank-R pairs.
 
     Each trial plants X with known factors, perturbs it within the
-    allowed radius ||X - Xhat|| < sigma_R / R (sigma_R being the R-th
-    singular value of X itself), re-truncates to rank R, and compares
-    exact operator norms of the projector differences to the bounds
-    (R / sigma_R) ||X - Xhat|| for each side and (3R / sigma_R) for the
-    combined projector F -> F P_U + P_V F - P_V F P_U on the product
+    allowed radius ||X - Xhat|| < sigma_min / R (sigma_min being the
+    R-th, smallest nonzero, singular value of X itself), re-truncates to
+    rank R, and compares exact operator norms of the projector
+    differences to the bounds (R / sigma_min) ||X - Xhat|| for each side
+    and (3R / sigma_min) for the combined projector F -> F P_U + P_V F - P_V F P_U on the product
     space.  That projector is I - (I - P_V) x (I - P_U), and for
     equal-rank pairs its difference has the exact 2-norm
     sqrt(n_u^2 + n_v^2 - n_u^2 n_v^2), where n_u and n_v are the
@@ -200,14 +182,14 @@ def projector_lipschitz_harness(n_trials=1000, N=32, d=8, R=3, seed=0):
     max_c = 0.0
     for trial in range(n_trials):
         rng = np.random.Generator(philox(seed, trial))
-        X, sigma_R = _planted_rank_R(rng, N, d, R)
+        X, sigma_min = _planted_rank_R(rng, N, d, R)
         # Perturb inside the radius, then snap back onto rank R.
-        eps = 0.4 * rng.uniform(0.1, 1.0) * sigma_R / R
+        eps = 0.4 * rng.uniform(0.1, 1.0) * sigma_min / R
         D = rng.standard_normal((N, d))
         D /= math.sqrt(kernels.mean_sq_norm(D))
         Xhat = _truncate_rank(X + eps * D, R)
         dist = math.sqrt(kernels.mean_sq_norm(X - Xhat))
-        assert dist < sigma_R / R
+        assert dist < sigma_min / R
         fac = kernels.second_moment_svd(X)
         fac_h = kernels.second_moment_svd(Xhat)
         Q, Qh = fac.Q[:, :R], fac_h.Q[:, :R]
@@ -217,7 +199,7 @@ def projector_lipschitz_harness(n_trials=1000, N=32, d=8, R=3, seed=0):
         n_u = float(np.linalg.norm(P_U - P_Uh, 2))
         n_v = float(np.linalg.norm(P_V - P_Vh, 2))
         n_c = math.sqrt(n_u * n_u + n_v * n_v - n_u * n_u * n_v * n_v)
-        allowed = (R / sigma_R) * dist
+        allowed = (R / sigma_min) * dist
         max_u = max(max_u, n_u / allowed)
         max_v = max(max_v, n_v / allowed)
         max_c = max(max_c, n_c / (3.0 * allowed))

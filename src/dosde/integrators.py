@@ -26,14 +26,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import NonFiniteState, RankDeficient, ShapeMismatch, SingularGram
+from .errors import (
+    InvalidEnsemble,
+    NonFiniteState,
+    RankDeficient,
+    ShapeMismatch,
+    SingularGram,
+)
 
 _SCHEMES = ("do", "ambient", "reference")
 
 
 @dataclass
 class DoState:
-    """Factored ensemble state: orthonormal-row basis U (R x d), coefficients Y (N x R)."""
+    """Factored ensemble state: orthonormal-row basis U (R x d), coefficients Y (N x R).
+
+    An initial datum is a state at t = 0; ``validate`` checks it.
+    """
 
     t: float
     U: np.ndarray
@@ -47,6 +56,22 @@ class DoState:
         """Per-atom reconstruction X_i = U^T Y_i, shape (N, d)."""
         return self.Y @ self.U
 
+    def validate(self):
+        """Check an initial datum: orthonormal rows of U (within 1e-12),
+        finite coefficients matching U, and an invertible coefficient
+        Gram.  Returns the state."""
+        U = np.asarray(self.U, dtype=float)
+        Y = kernels.as_ensemble(self.Y, "Y0")
+        R, d = U.shape
+        if Y.shape[1] != R:
+            raise InvalidEnsemble("Y0 has %d columns, U0 has %d rows" % (Y.shape[1], R))
+        defect = float(np.linalg.norm(U @ U.T - np.eye(R)))
+        if defect > 1e-12:
+            raise InvalidEnsemble("U0 rows not orthonormal (defect %g)" % defect)
+        if kernels.gram(Y).inverse is None:
+            raise InvalidEnsemble("initial coefficient Gram is singular")
+        return self
+
 
 @dataclass
 class FullState:
@@ -58,6 +83,12 @@ class FullState:
     def product(self):
         """The ensemble itself, shape (N, d)."""
         return self.X
+
+    def validate(self):
+        """Check an initial datum: a non-empty, finite 2-D ensemble.
+        Returns the state."""
+        kernels.as_ensemble(self.X, "X0")
+        return self
 
 
 @dataclass
@@ -248,8 +279,9 @@ def integrate(
 
     Parameters
     ----------
-    initial : InitialDatum
-        Must be factored for "do"; full or factored otherwise.
+    initial : DoState or FullState
+        The state at t = 0, validated here.  Must be a DoState for "do";
+        either kind otherwise.
     path : BrownianPath
         Supplies increments one step at a time (``path.increment(k)``,
         streamed in bounded chunks); must cover ceil(t_end/dt) steps
@@ -290,15 +322,16 @@ def integrate(
     initial.validate()
     # Steppers are looked up per call, so rebinding a module attribute
     # (as an outside tracer does) reaches this loop.
+    factored = isinstance(initial, DoState)
     if scheme == "do":
-        if not initial.factored:
+        if not factored:
             raise ShapeMismatch("the 'do' scheme needs a factored initial datum")
         state, step = DoState(t=0.0, U=initial.U.copy(), Y=initial.Y.copy()), step_do
     else:
-        state, step = FullState(t=0.0, X=initial.to_full().copy()), step_reference
+        state, step = FullState(t=0.0, X=initial.product().copy()), step_reference
     if scheme == "ambient":
-        if R is None and initial.factored:
-            R = initial.U.shape[0]
+        if R is None and factored:
+            R = initial.rank
         if R is None:
             raise ShapeMismatch("the 'ambient' scheme needs a rank R")
         step = functools.partial(step_ambient_dlra, R=R)

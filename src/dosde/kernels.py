@@ -137,7 +137,8 @@ class GramReport:
     ``inverse`` is present exactly when lambda_min clears the relative
     threshold EPS_RANK * trace; ``inv_frobenius`` is +inf otherwise.
     ``eigenvalues`` are ascending, as returned by the symmetric solver,
-    and ``eigenvectors`` holds the matching unit eigenvectors as columns.
+    and ``eigenvectors`` holds the matching unit eigenvectors as columns;
+    ``leading_modes`` reads them in non-increasing order.
     """
 
     gram: np.ndarray
@@ -145,13 +146,16 @@ class GramReport:
     eigenvectors: np.ndarray
     inverse: np.ndarray | None
     lambda_min: float
-    sigma_R: float
     inv_frobenius: float
     rank: int
 
 
 def gram(Y):
-    """Gram matrix of a coefficient ensemble with spectral report.
+    """Gram matrix of an ensemble with spectral report.
+
+    Every ensemble Gram and its spectrum comes from here: the
+    coefficient Gram C_Y, and the second moment E[X X^T] of a full
+    state X read as a d-column ensemble (``second_moment_svd``).
 
     Parameters
     ----------
@@ -176,10 +180,22 @@ def gram(Y):
         eigenvectors=vecs,
         inverse=inv,
         lambda_min=max(float(vals[0]), 0.0),
-        sigma_R=float(np.abs(vals).min()),
         inv_frobenius=math.inf if inv is None else float(math.sqrt(np.sum((1.0 / vals) ** 2))),
         rank=int(np.count_nonzero(vals > threshold)),
     )
+
+
+def leading_modes(rep, rel_threshold):
+    """Eigenpairs of a GramReport in non-increasing order, and how many
+    lead above ``rel_threshold * trace``: (values, vectors as columns, count).
+
+    The sort is stable, so tied eigenvalues keep the solver's
+    ascending-index order.
+    """
+    order = np.argsort(-rep.eigenvalues, kind="stable")
+    vals = rep.eigenvalues[order]
+    threshold = rel_threshold * max(float(np.trace(rep.gram)), 0.0)
+    return vals, rep.eigenvectors[:, order], int(np.count_nonzero(vals > threshold))
 
 
 def _eigh_inverse(G):
@@ -200,7 +216,7 @@ def fix_signs(Q):
     return Q
 
 
-def projector_row(U, gram_inverse=None):
+def projector_row(U):
     """Orthogonal projector onto the row space of U: U^T (U U^T)^-1 U.
 
     U need not have orthonormal rows.  Raises SingularRowGram when U U^T
@@ -209,13 +225,10 @@ def projector_row(U, gram_inverse=None):
     U = np.asarray(U, dtype=float)
     if U.ndim != 2:
         raise InvalidEnsemble("U must be 2-D")
-    if gram_inverse is None:
-        vals, _, _, gram_inverse = _eigh_inverse(U @ U.T)
-        if gram_inverse is None:
-            raise SingularRowGram(
-                "row Gram of U is singular (lambda_min=%g)" % vals[0]
-            )
-    return U.T @ gram_inverse @ U
+    vals, _, _, inverse = _eigh_inverse(U @ U.T)
+    if inverse is None:
+        raise SingularRowGram("row Gram of U is singular (lambda_min=%g)" % vals[0])
+    return U.T @ inverse @ U
 
 
 def projector_stochastic(Y, f):
@@ -259,21 +272,15 @@ class SecondMomentFactors:
 def second_moment_svd(X, rel_threshold=EPS_RANK):
     """Canonical low-rank factors of an ensemble via its second moment.
 
-    Eigenvalues of E[X X^T] below ``rel_threshold * trace`` are
-    discarded; rank 0 (empty factors) is a legal outcome.  Eigenvector
-    signs are fixed so each retained column's largest-magnitude entry is
-    positive, and eigenvalue ties keep the solver's ascending-index
-    order.
+    E[X X^T] is the Gram of X read as a d-column coefficient ensemble,
+    so its spectrum is ``leading_modes(gram(X), rel_threshold)``.
+    Eigenvalues below ``rel_threshold * trace`` are discarded; rank 0
+    (empty factors) is a legal outcome.  Eigenvector signs are fixed so
+    each retained column's largest-magnitude entry is positive, and
+    eigenvalue ties keep the solver's ascending-index order.
     """
     X = as_ensemble(X, "X")
-    M = mean_outer(X, X)
-    vals, vecs = np.linalg.eigh(M)
-    # Stable sort keeps the ascending-index order of tied eigenvalues.
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
-    threshold = rel_threshold * max(float(np.trace(M)), 0.0)
-    keep = int(np.count_nonzero(vals > threshold))
+    vals, vecs, keep = leading_modes(gram(X), rel_threshold)
     Q = fix_signs(vecs[:, :keep])
     gammas = vals[:keep].copy()
     phis = (X @ Q) / np.sqrt(gammas)[None, :] if keep else np.zeros((X.shape[0], 0))

@@ -22,6 +22,7 @@ The zoo covers the regimes the integrators have to survive:
                      regime with a provable Gram eigenvalue floor.
 """
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -29,7 +30,8 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
-from .errors import AssumptionViolated, BadParams, InvalidEnsemble, UnknownModel
+from .errors import AssumptionViolated, BadParams, UnknownModel
+from .integrators import DoState
 from .paths import _MASK64
 
 
@@ -256,11 +258,7 @@ _BUILTINS = {
 
 # Accepted keyword parameters per builtin, used for config validation.
 PARAM_NAMES = {
-    "ou": ("kappa", "sigma", "d"),
-    "linear_lowrank": ("lambdas", "sigma_b", "d"),
-    "gbm_clipped": ("mu", "sigma", "clip", "d"),
-    "mode_crossing": ("t_star", "d"),
-    "additive_floor": ("alpha", "sigma", "d"),
+    name: tuple(inspect.signature(f).parameters) for name, f in _BUILTINS.items()
 }
 
 
@@ -367,46 +365,6 @@ def _ratio(observed, allowed):
     return observed / allowed
 
 
-@dataclass
-class InitialDatum:
-    """Initial ensemble, either factored (U, Y) or full (X).
-
-    Factored data must have orthonormal rows of U (within 1e-12) and an
-    invertible coefficient Gram.
-    """
-
-    U: np.ndarray | None = None
-    Y: np.ndarray | None = None
-    X: np.ndarray | None = None
-
-    @property
-    def factored(self):
-        return self.U is not None
-
-    def validate(self):
-        if self.factored:
-            U = np.asarray(self.U, dtype=float)
-            Y = kernels.as_ensemble(self.Y, "Y0")
-            R, d = U.shape
-            if Y.shape[1] != R:
-                raise InvalidEnsemble("Y0 has %d columns, U0 has %d rows" % (Y.shape[1], R))
-            defect = float(np.linalg.norm(U @ U.T - np.eye(R)))
-            if defect > 1e-12:
-                raise InvalidEnsemble("U0 rows not orthonormal (defect %g)" % defect)
-            rep = kernels.gram(Y)
-            if rep.inverse is None:
-                raise InvalidEnsemble("initial coefficient Gram is singular")
-        else:
-            kernels.as_ensemble(self.X, "X0")
-        return self
-
-    def to_full(self):
-        """Per-atom product state: X_i = U^T Y_i."""
-        if not self.factored:
-            return np.asarray(self.X, dtype=float)
-        return np.asarray(self.Y, dtype=float) @ np.asarray(self.U, dtype=float)
-
-
 def whiten(Y):
     """Rescale coefficients so the empirical Gram is the identity."""
     Y = kernels.as_ensemble(Y, "Y")
@@ -416,7 +374,7 @@ def whiten(Y):
 
 
 def default_initial(model, N, R, seed=0):
-    """Documented initial datum for each builtin, factored form.
+    """Documented initial datum for each builtin: a validated DoState at t = 0.
 
     ou / gbm_clipped / additive_floor: seeded orthonormal basis plus
     whitened Gaussian coefficients.  linear_lowrank: the model's planted
@@ -432,7 +390,7 @@ def default_initial(model, N, R, seed=0):
         xi = xi - xi.mean()
         xi = xi / math.sqrt(float(xi @ xi) / N)
         Y0 = np.column_stack([xi, np.ones(N)])
-        return InitialDatum(U=model.basis.copy(), Y=Y0).validate()
+        return DoState(t=0.0, U=model.basis.copy(), Y=Y0).validate()
     if model.name == "linear_lowrank":
         if R != model.basis.shape[0]:
             raise BadParams(
@@ -448,4 +406,4 @@ def default_initial(model, N, R, seed=0):
         else:
             U0 = _planted_basis(model.d, R, seed + 7)
     Y0 = whiten(_rng(seed, 3).standard_normal((N, R)))
-    return InitialDatum(U=U0, Y=Y0).validate()
+    return DoState(t=0.0, U=U0, Y=Y0).validate()

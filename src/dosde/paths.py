@@ -286,11 +286,6 @@ class BrownianPath:
         self._tensor = None
         return out
 
-    def dump(self, path):
-        """Write increments as little-endian float64, (step, atom, channel) row-major."""
-        with open(path, "wb") as fh:
-            fh.write(np.ascontiguousarray(self.increments, dtype="<f8").tobytes())
-
     def _chunk_steps(self):
         """Steps per chunk: _CHUNK_ELEMENTS fine normals, at least one step."""
         return max(1, _CHUNK_ELEMENTS // ((self.N * self.m) << self.level))

@@ -63,11 +63,7 @@ def truncate(state, sv_tolerance=DEFAULT_SV_TOLERANCE, max_rank=None):
     Returns (DoState, or None when no mode is kept, RankEvent).
     """
     rep = kernels.gram(state.Y)
-    # Stable sort keeps the ascending-index order of tied eigenvalues.
-    order = np.argsort(-rep.eigenvalues, kind="stable")
-    vals, V = rep.eigenvalues[order], rep.eigenvectors[:, order]
-    trace = float(np.trace(rep.gram))
-    keep = int(np.count_nonzero(vals > sv_tolerance * max(trace, 0.0)))
+    vals, V, keep = kernels.leading_modes(rep, sv_tolerance)
     if max_rank is not None:
         keep = min(keep, max_rank)
     event = RankEvent(

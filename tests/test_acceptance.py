@@ -24,8 +24,8 @@ from dosde.diagnostics import (
     projector_lipschitz_harness,
     rotation_equivariance_check,
 )
-from dosde.integrators import integrate
-from dosde.models import _rng, builtin, default_initial, whiten, InitialDatum
+from dosde.integrators import DoState, integrate
+from dosde.models import _rng, builtin, default_initial, whiten
 from dosde.picard import picard_local_solve
 from dosde.rank_control import RestartPolicy, noise_floor_bound
 
@@ -93,7 +93,7 @@ def test_02_orthonormality_and_gauge_order():
 
         U0 = _planted_basis(2, 1, 21)
         Y0 = whiten(_rng(22).standard_normal((512, 1)))
-        init = InitialDatum(U=U0, Y=Y0).validate()
+        init = DoState(t=0.0, U=U0, Y=Y0).validate()
         dts = [2e-2, 1e-2, 5e-3, 2.5e-3]
         gmax = []
         for lvl, dt in enumerate(dts):
@@ -120,7 +120,7 @@ def test_03_factored_and_projector_schemes_agree():
         N = 512
         U0 = _tilted_lowrank_basis(model)
         Y0 = whiten(_rng(12).standard_normal((N, 2)))
-        init = InitialDatum(U=U0, Y=Y0).validate()
+        init = DoState(t=0.0, U=U0, Y=Y0).validate()
         sups = []
         dts = [1e-2, 5e-3, 2.5e-3]
         for lvl, dt in enumerate(dts):

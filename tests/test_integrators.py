@@ -21,7 +21,7 @@ from dosde.integrators import (
     step_do,
     step_reference,
 )
-from dosde.models import InitialDatum, builtin, default_initial, whiten
+from dosde.models import builtin, default_initial, whiten
 from dosde.diagnostics import l2_distance
 from dosde.picard import picard_local_solve
 
@@ -179,7 +179,7 @@ def test_integrate_grid_validation():
 def test_integrate_needs_factored_for_do():
     model = builtin("ou", d=2)
     X = np.random.default_rng(1).standard_normal((16, 2))
-    init = InitialDatum(X=X)
+    init = FullState(t=0.0, X=X)
     path = paths.generate(0, 10, 1e-2, 16, model.m)
     with pytest.raises(ShapeMismatch):
         integrate(model, init, "do", 0.1, 1e-2, path)
@@ -262,7 +262,7 @@ def test_diagonal_reference_run_matches_golden_bits():
     X0.ravel()[3::11] = 5.0
     X0.ravel()[5::13] = -5.0
     path = paths.generate(17, 40, 1e-2, N, model.m)
-    traj = integrate(model, InitialDatum(X=X0), "reference", 0.4, 1e-2, path, record_stride=8)
+    traj = integrate(model, FullState(t=0.0, X=X0), "reference", 0.4, 1e-2, path, record_stride=8)
     digest = hashlib.sha256()
     for state in traj.states:
         digest.update(state.X.tobytes())

@@ -14,7 +14,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from conftest import hadamard_columns, same_bits, spectral_ensembles
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dosde import kernels
@@ -311,7 +312,6 @@ def test_gram_inverse_is_an_inverse():
     assert np.allclose(rep.gram @ rep.inverse, np.eye(4), atol=1e-10)
     # eigenvalues ascending
     assert np.all(np.diff(rep.eigenvalues) >= 0)
-    assert rep.sigma_R == rep.eigenvalues[0]
 
 
 def test_gram_threshold_is_relative():
@@ -394,6 +394,37 @@ def test_second_moment_svd_rank_counts_threshold():
     X = np.hstack([base, 1e-9 * rng.standard_normal((128, 1))])
     fac = kernels.second_moment_svd(X)
     assert fac.rank == 1
+
+
+def _direct_second_moment_svd(X, rel_threshold=kernels.EPS_RANK):
+    """Reference for second_moment_svd that computes its spectrum itself:
+    mean_outer, eigh and a stable descending sort, without ``gram``."""
+    X = kernels.as_ensemble(X, "X")
+    M = kernels.mean_outer(X, X)
+    vals, vecs = np.linalg.eigh(M)
+    order = np.argsort(-vals, kind="stable")
+    vals = vals[order]
+    vecs = vecs[:, order]
+    threshold = rel_threshold * max(float(np.trace(M)), 0.0)
+    keep = int(np.count_nonzero(vals > threshold))
+    Q = kernels.fix_signs(vecs[:, :keep])
+    gammas = vals[:keep].copy()
+    phis = (X @ Q) / np.sqrt(gammas)[None, :] if keep else np.zeros((X.shape[0], 0))
+    return kernels.SecondMomentFactors(Q=Q, gammas=gammas, phis=phis, rank=keep)
+
+
+@given(spectral_ensembles(), st.sampled_from([kernels.EPS_RANK, 1e-8, 1e-3, 0.05, 0.3]))
+@example(hadamard_columns(3, [1.0, 2.0, 1.0, 4.0, 2.0, 1.0]), kernels.EPS_RANK)
+@settings(max_examples=150, deadline=None)
+def test_second_moment_svd_matches_the_direct_eigh_bit_for_bit(X, rel_threshold):
+    # The spectrum read from gram(X) through leading_modes is the direct
+    # one to the bit, including the order of exactly tied eigenvalues and
+    # the modes cut by the threshold.
+    got = kernels.second_moment_svd(X, rel_threshold)
+    ref = _direct_second_moment_svd(X, rel_threshold)
+    assert got.rank == ref.rank
+    for field in ("Q", "gammas", "phis"):
+        assert same_bits(getattr(got, field), getattr(ref, field)), field
 
 
 # ---------------------------------------------------------------- closed-form bounds

@@ -7,8 +7,8 @@ import pytest
 
 from dosde import kernels
 from dosde.errors import BadParams, InvalidEnsemble, UnknownModel
+from dosde.integrators import DoState
 from dosde.models import (
-    InitialDatum,
     builtin,
     default_initial,
     validate_assumptions,
@@ -133,18 +133,18 @@ def test_initial_datum_validation():
     U = np.array([[1.0, 0.0], [0.0, 2.0]])  # not orthonormal
     Y = np.random.default_rng(6).standard_normal((8, 2))
     with pytest.raises(InvalidEnsemble):
-        InitialDatum(U=U, Y=Y).validate()
+        DoState(t=0.0, U=U, Y=Y).validate()
     # coefficient columns must be linearly independent in the ensemble sense
     Y_dup = np.column_stack([Y[:, 0], Y[:, 0]])
     with pytest.raises(InvalidEnsemble):
-        InitialDatum(U=np.eye(2), Y=Y_dup).validate()
+        DoState(t=0.0, U=np.eye(2), Y=Y_dup).validate()
 
 
 def test_default_initial_full_rank_uses_identity():
     model = builtin("ou", d=4)
     init = default_initial(model, N=32, R=4, seed=0)
     assert np.array_equal(init.U, np.eye(4))
-    assert np.array_equal(init.to_full(), init.Y)
+    assert np.array_equal(init.product(), init.Y)
 
 
 def test_default_initial_low_rank_is_whitened():

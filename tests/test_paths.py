@@ -83,14 +83,6 @@ def test_rejects_bad_arguments():
         paths.generate(0, 4, 0.0, 4, 1)
 
 
-def test_dump_roundtrip(tmp_path):
-    p = paths.generate(5, 6, 0.125, 4, 2)
-    out = tmp_path / "w.bin"
-    p.dump(out)
-    back = np.fromfile(out, dtype="<f8").reshape(6, 4, 2)
-    assert np.array_equal(back, p.increments)
-
-
 def _uniforms(seed, step, n):
     """The first ``n`` uniforms of a fine step's stream, from its raw words."""
     raw = paths.philox(seed, step).random_raw(n)

@@ -4,14 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from conftest import hadamard_columns, same_bits, spectral_ensembles
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dosde import kernels, paths
 from dosde.errors import NoFloorDeclared, ShapeMismatch
 from dosde.integrators import DoState, StepReport, integrate
 from dosde.models import builtin, default_initial, whiten
-from dosde.rank_control import RestartPolicy, noise_floor_bound, truncate
+from dosde.rank_control import RankEvent, RestartPolicy, noise_floor_bound, truncate
 
 
 def _policy(n_max=8):
@@ -154,6 +155,57 @@ def test_truncate_properties(case):
         fac = kernels.second_moment_svd(state.product(), rel_threshold=1e-8)
         assert min(fac.rank, max_rank or fac.rank) == keep
         np.testing.assert_allclose(U1.T, fac.Q[:, :keep], atol=1e-8)
+
+
+def _direct_truncate(state, sv_tolerance, max_rank=None):
+    """Reference for truncate that sorts and cuts the Gram spectrum
+    itself, without ``kernels.leading_modes``."""
+    rep = kernels.gram(state.Y)
+    order = np.argsort(-rep.eigenvalues, kind="stable")
+    vals, V = rep.eigenvalues[order], rep.eigenvectors[:, order]
+    trace = float(np.trace(rep.gram))
+    keep = int(np.count_nonzero(vals > sv_tolerance * max(trace, 0.0)))
+    if max_rank is not None:
+        keep = min(keep, max_rank)
+    event = RankEvent(
+        t_event=state.t,
+        singular_values=vals,
+        old_rank=state.rank,
+        new_rank=keep,
+        discarded_mass=kernels.mean_sq_norm(state.Y @ V[:, keep:]),
+        inv_norm_at_event=rep.inv_frobenius,
+    )
+    if keep == 0:
+        return None, event
+    Q = kernels.fix_signs(state.U.T @ V[:, :keep])
+    return DoState(t=state.t, U=Q.T.copy(), Y=state.product() @ Q), event
+
+
+@given(
+    spectral_ensembles(),
+    st.integers(0, 4),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1e-10, 1e-8, 1e-3, 0.05, 0.3]),
+    st.none() | st.integers(0, 12),
+)
+@example(hadamard_columns(3, [1.0, 2.0, 1.0, 4.0, 2.0, 1.0]), 2, 0, 1e-8, None)
+@settings(max_examples=150, deadline=None)
+def test_truncate_matches_the_direct_sort_bit_for_bit(Y, extra_dims, seed, sv_tolerance, max_rank):
+    # leading_modes gives truncate the same modes, in the same order
+    # (exact ties included), and so the same state and event, to the bit.
+    R = Y.shape[1]
+    U = np.linalg.qr(np.random.default_rng(seed).standard_normal((R + extra_dims, R)))[0].T
+    state = DoState(t=0.375, U=U, Y=Y)
+    got, got_event = truncate(state, sv_tolerance, max_rank=max_rank)
+    ref, ref_event = _direct_truncate(state, sv_tolerance, max_rank=max_rank)
+    for field in ("t_event", "singular_values", "old_rank", "new_rank",
+                  "discarded_mass", "inv_norm_at_event"):
+        assert same_bits(getattr(got_event, field), getattr(ref_event, field)), field
+    assert (got is None) == (ref is None)
+    if got is not None:
+        assert got.t == ref.t
+        assert same_bits(got.U, ref.U)
+        assert same_bits(got.Y, ref.Y)
 
 
 def test_restart_policy_full_cycle_on_planted_collapse():
