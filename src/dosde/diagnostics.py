@@ -171,11 +171,12 @@ def projector_lipschitz_harness(n_trials=1000, N=32, d=8, R=3, seed=0):
     R-th, smallest nonzero, singular value of X itself), re-truncates to
     rank R, and compares exact operator norms of the projector
     differences to the bounds (R / sigma_min) ||X - Xhat|| for each side
-    and (3R / sigma_min) for the combined projector F -> F P_U + P_V F - P_V F P_U on the product
-    space.  That projector is I - (I - P_V) x (I - P_U), and for
-    equal-rank pairs its difference has the exact 2-norm
-    sqrt(n_u^2 + n_v^2 - n_u^2 n_v^2), where n_u and n_v are the
-    one-sided norms, so no (N d) x (N d) matrix is built.
+    and (3R / sigma_min) for the combined projector
+    F -> F P_U + P_V F - P_V F P_U on the product space.  That projector
+    is I - (I - P_V) x (I - P_U), and for equal-rank pairs its
+    difference has the exact 2-norm sqrt(n_u^2 + n_v^2 - n_u^2 n_v^2),
+    where n_u and n_v are the one-sided norms, so no (N d) x (N d)
+    matrix is built.
     """
     max_u = 0.0
     max_v = 0.0

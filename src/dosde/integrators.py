@@ -328,7 +328,8 @@ def integrate(
             raise ShapeMismatch("the 'do' scheme needs a factored initial datum")
         state, step = DoState(t=0.0, U=initial.U.copy(), Y=initial.Y.copy()), step_do
     else:
-        state, step = FullState(t=0.0, X=initial.product().copy()), step_reference
+        X0 = np.array(initial.product(), dtype=float, order="C")
+        state, step = FullState(t=0.0, X=X0), step_reference
     if scheme == "ambient":
         if R is None and factored:
             R = initial.rank

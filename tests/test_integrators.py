@@ -186,6 +186,10 @@ def test_integrate_needs_factored_for_do():
     # but reference accepts it
     traj = integrate(model, init, "reference", 0.1, 1e-2, path)
     assert traj.completed
+    # and records a float copy of the datum it was given, integers included
+    assert traj.states[0].X is not X
+    ints = FullState(t=0.0, X=np.arange(32).reshape(16, 2))
+    assert integrate(model, ints, "reference", 0.1, 1e-2, path).states[0].X.dtype == np.float64
 
 
 def test_integrate_record_stride_and_exact_times():
