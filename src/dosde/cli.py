@@ -217,40 +217,70 @@ def cmd_simulate(cfg, out_dir):
     return _exit_status(cfg.t_end, traj)
 
 
-def _compare_level(cfg, model, initial, dt, path):
-    """Run both compared schemes on one grid.  Returns the sup over
-    recorded times of their L2 distance, the sup of the first scheme's
-    ensemble L2 norm, and each run stripped to what ``_exit_status``
-    reads (scheme, ``completed`` and the last event), so no level's
-    recorded states outlive it.  The first scheme's states are recorded;
-    the second's are compared as they are made and not kept."""
-    import math
-    from dataclasses import replace
+class _ComparedPair:
+    """Both compared schemes on one level's grid, advanced a window at a
+    time by one ``integrate`` call each.
 
-    from .diagnostics import l2_distance
-    from .integrators import integrate
-    from .kernels import mean_sq_norm
+    Only the current states are kept.  Records pair up in order as they
+    are made: the first scheme's records of a window wait for the
+    second's, and a longer run's extra records go unpaired.  ``sup`` is
+    the sup over paired records of their L2 distance, and ``scale`` the
+    sup of the first scheme's ensemble L2 norm there.  A run that halted
+    is not advanced again; ``outcomes`` holds each run's last
+    trajectory, stripped to what ``_exit_status`` reads (scheme,
+    ``completed`` and the last event).
+    """
 
-    first = integrate(model, initial, cfg.scheme, cfg.t_end, dt, path, R=cfg.rank)
-    sup = scale = 0.0
-    states_a = iter(first.states)
+    def __init__(self, cfg, model, initial, dt):
+        self.cfg, self.model, self.dt = cfg, model, dt
+        self.states = [initial, initial]
+        self.outcomes = [None, None]
+        self.sup = self.scale = 0.0
 
-    def compare(sb):
-        # Records pair up in order; a longer run's extra records go unpaired.
-        nonlocal sup, scale
-        sa = next(states_a, None)
-        if sa is not None:
-            xa = sa.product()
-            sup = max(sup, l2_distance(xa, sb.product()))
-            scale = max(scale, math.sqrt(mean_sq_norm(xa)))
+    def advance(self, t_end, path):
+        import math
 
-    second = integrate(
-        model, initial, cfg.compare_scheme_b, cfg.t_end, dt, path, R=cfg.rank, on_record=compare
-    )
-    return sup, scale, [
-        replace(run, times=[], states=[], diag=[], events=run.events[-1:])
-        for run in (first, second)
-    ]
+        from .diagnostics import l2_distance
+        from .kernels import mean_sq_norm
+
+        held = []
+        self._run(0, self.cfg.scheme, t_end, path, held.append)
+        partners = iter(held)
+
+        def pair(sb):
+            sa = next(partners, None)
+            if sa is not None:
+                xa = sa.product()
+                self.sup = max(self.sup, l2_distance(xa, sb.product()))
+                self.scale = max(self.scale, math.sqrt(mean_sq_norm(xa)))
+
+        self._run(1, self.cfg.compare_scheme_b, t_end, path, pair)
+
+    def _run(self, i, scheme, t_end, path, record):
+        from dataclasses import replace
+
+        from .integrators import integrate
+
+        start = self.states[i]
+        if start is None:
+            return
+        # A resumed window's first record is the last one of the window
+        # before, already seen.
+        skip = start.t > 0
+        last = None
+
+        def on_record(state):
+            nonlocal skip, last
+            last = state
+            if skip:
+                skip = False
+            else:
+                record(state)
+
+        run = integrate(self.model, start, scheme, t_end, self.dt, path, R=self.cfg.rank,
+                        on_record=on_record)
+        self.states[i] = last if run.completed else None
+        self.outcomes[i] = replace(run, times=[], diag=[], events=run.events[-1:])
 
 
 # A sup error within this many machine epsilons of the ensemble's L2 norm
@@ -259,6 +289,15 @@ _ROUNDOFF_EPS = 2**7
 
 
 def cmd_compare(cfg, out_dir):
+    """Strong error of the first scheme against the second at
+    ``compare.levels`` halvings of dt, on one nested Brownian path.
+
+    Every level resolves the same finest grid (common noise).
+    ``paths.lockstep`` draws that grid's normals once, in windows of
+    whole coarsest steps, and each window advances every level's two
+    runs by one ``integrate`` call each.  Memory holds one window and
+    the current states, whatever t_end.
+    """
     import numpy as np
 
     from . import paths
@@ -269,22 +308,17 @@ def cmd_compare(cfg, out_dir):
     initial = default_initial(model, cfg.n_atoms, cfg.rank, seed=cfg.seed)
     levels = cfg.compare_levels
     n0 = int(round(cfg.t_end / cfg.dt))
-    # All levels resolve the same finest grid: nested common noise.  It
-    # is drawn once, finest level first; each coarser level is its
-    # pairwise sum, made in place, so one tensor holds every level in turn.
-    top = levels - 1
-    path = paths.generate(cfg.seed, n0 << top, cfg.dt / (1 << top), cfg.n_atoms, model.m)
-    path.increments  # draw it once for both schemes and the next level
-    sup_errors = [0.0] * levels
-    resolved = [False] * levels
-    outcomes = [None] * levels
-    for lvl in reversed(range(levels)):
-        if lvl < top:
-            path = path.coarsened()
-        sup_errors[lvl], scale, outcomes[lvl] = _compare_level(
-            cfg, model, initial, cfg.dt / (1 << lvl), path
-        )
-        resolved[lvl] = sup_errors[lvl] > _ROUNDOFF_EPS * np.finfo(float).eps * scale
+    pairs = [_ComparedPair(cfg, model, initial, cfg.dt / (1 << lvl)) for lvl in range(levels)]
+    # A window also bounds the first scheme's records it holds, d values per atom.
+    windows = paths.lockstep(cfg.seed, n0, cfg.dt, cfg.n_atoms, model.m, levels, width=model.d)
+    for stop, ladder in windows:
+        # The last window ends at t_end itself, which integrate checks
+        # against the grid.
+        t_stop = cfg.t_end if stop == n0 else stop * cfg.dt
+        for pair, level_path in zip(pairs, ladder):
+            pair.advance(t_stop, level_path)
+    sup_errors = [pair.sup for pair in pairs]
+    resolved = [pair.sup > _ROUNDOFF_EPS * np.finfo(float).eps * pair.scale for pair in pairs]
     rows = []
     for lvl, sup in enumerate(sup_errors):
         rate = float("nan")
@@ -294,7 +328,7 @@ def cmd_compare(cfg, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, "error_report.csv"), "level,dt,sup_error,rate_vs_prev", rows)
     _write_manifest(out_dir, cfg, time.perf_counter() - start, "compare", model=model)
-    return _exit_status(cfg.t_end, *(run for pair in outcomes for run in pair))
+    return _exit_status(cfg.t_end, *(run for pair in pairs for run in pair.outcomes))
 
 
 def cmd_picard_demo(cfg, out_dir):
@@ -432,6 +466,12 @@ def _self_test():
         float(np.linalg.norm(s.U @ s.U.T - np.eye(s.U.shape[0]))) for s in do_traj.states
     )
     check("basis orthonormality", worst_ortho <= 1e-10)
+    half = integrate(model, init, "do", 0.1, 0.01, path)
+    split = half.states + integrate(model, half.states[-1], "do", 0.2, 0.01, path).states[1:]
+    check("split run equals unbroken run", len(split) == len(do_traj.states) and all(
+        a.t == b.t and a.U.tobytes() == b.U.tobytes() and a.Y.tobytes() == b.Y.tobytes()
+        for a, b in zip(split, do_traj.states)
+    ))
 
     from .config import parse_config, serialize
 

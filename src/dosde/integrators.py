@@ -41,7 +41,8 @@ _SCHEMES = ("do", "ambient", "reference")
 class DoState:
     """Factored ensemble state: orthonormal-row basis U (R x d), coefficients Y (N x R).
 
-    An initial datum is a state at t = 0; ``validate`` checks it.
+    An initial datum is a state at t = 0; ``validate`` checks it.  A
+    state at t > 0 is one a run reached, which ``integrate`` can resume.
     """
 
     t: float
@@ -57,14 +58,18 @@ class DoState:
         return self.Y @ self.U
 
     def validate(self):
-        """Check an initial datum: orthonormal rows of U (within 1e-12),
-        finite coefficients matching U, and an invertible coefficient
-        Gram.  Returns the state."""
-        U = np.asarray(self.U, dtype=float)
-        Y = kernels.as_ensemble(self.Y, "Y0")
-        R, d = U.shape
+        """Check the state: a finite 2-D U, finite coefficients matching
+        it, and, for an initial datum (t = 0), orthonormal rows of U
+        (within 1e-12) and an invertible coefficient Gram.  A later
+        state is left to the stepper, which meets it as it would in an
+        unbroken run.  Returns the state."""
+        U = kernels.as_ensemble(self.U, "U")
+        Y = kernels.as_ensemble(self.Y, "Y")
+        R = U.shape[0]
         if Y.shape[1] != R:
-            raise InvalidEnsemble("Y0 has %d columns, U0 has %d rows" % (Y.shape[1], R))
+            raise InvalidEnsemble("Y has %d columns, U has %d rows" % (Y.shape[1], R))
+        if self.t != 0:
+            return self
         defect = float(np.linalg.norm(U @ U.T - np.eye(R)))
         if defect > 1e-12:
             raise InvalidEnsemble("U0 rows not orthonormal (defect %g)" % defect)
@@ -85,8 +90,8 @@ class FullState:
         return self.X
 
     def validate(self):
-        """Check an initial datum: a non-empty, finite 2-D ensemble.
-        Returns the state."""
+        """Check the state: a non-empty, finite 2-D ensemble.  Returns
+        the state."""
         kernels.as_ensemble(self.X, "X0")
         return self
 
@@ -275,26 +280,32 @@ def integrate(
     R=None,
     on_record=None,
 ):
-    """Drive one scheme from t=0 to t_end on a fixed grid.
+    """Drive one scheme from the initial state's time to t_end on a fixed grid.
 
     Parameters
     ----------
     initial : DoState or FullState
-        The state at t = 0, validated here.  Must be a DoState for "do";
-        either kind otherwise.
+        The starting state, validated here.  Must be a DoState for "do";
+        either kind otherwise.  Its time ``initial.t`` must be a grid
+        point k0 dt <= t_end: at t = 0 it is an initial datum, and a
+        later state resumes a run, so splitting a run at any grid point
+        and resuming from the state recorded there gives the unbroken
+        run's steps, records and reports bit for bit.
     path : BrownianPath
-        Supplies increments one step at a time (``path.increment(k)``,
-        streamed in bounded chunks); must cover ceil(t_end/dt) steps
-        with matching atom and channel counts.
+        Supplies increments one step at a time (``path.increment(k)``
+        for k = k0, k0 + 1, ..., streamed in bounded chunks); must cover
+        round(t_end/dt) steps with matching atom and channel counts.
+    record_stride : a state is recorded at every global step k that is a
+        multiple of it, and at the start and the end.
     policy : optional rank/restart hook ("do" only), the one judge of an
         explosion, with three methods: ``attach(state)`` starts it on the
-        initial state; ``observe(report, state) -> bool`` sees every step
+        starting state; ``observe(report, state) -> bool`` sees every step
         report (and the state it left) and says whether the step
         exploded; ``restart(state) -> (DoState | None, RankEvent)``
         refactors at the event and re-attaches itself to the new state.
     R : rank for the ambient scheme (defaults to the initial rank).
     on_record : optional callable that receives each recorded state, the
-        initial one included, in place of ``traj.states`` (which then
+        starting one included, in place of ``traj.states`` (which then
         stays empty); ``traj.times`` is kept either way.
 
     Without a policy only a singular Gram (SingularGram) explodes; the
@@ -318,38 +329,45 @@ def integrate(
         raise ShapeMismatch("path dt=%g differs from requested dt=%g" % (path.dt, dt))
     if policy is not None and scheme != "do":
         raise ShapeMismatch("a rank policy needs the 'do' scheme, got %r" % scheme)
+    k = round(initial.t / dt) if math.isfinite(initial.t) else -1
+    if abs(k * dt - initial.t) > 1e-9 * max(1.0, abs(t_end)) or not 0 <= k <= n_steps:
+        raise ShapeMismatch("start t=%g is not a grid point of dt=%g in [0, %g]"
+                            % (initial.t, dt, t_end))
 
     initial.validate()
     # Steppers are looked up per call, so rebinding a module attribute
-    # (as an outside tracer does) reaches this loop.
+    # (as an outside tracer does) reaches this loop.  The copies keep
+    # each array's memory layout (a retracted U is a Fortran-order
+    # view), which a step's last bits can depend on.
+    t0 = k * dt
     factored = isinstance(initial, DoState)
     if scheme == "do":
         if not factored:
             raise ShapeMismatch("the 'do' scheme needs a factored initial datum")
-        state, step = DoState(t=0.0, U=initial.U.copy(), Y=initial.Y.copy()), step_do
+        U0, Y0 = initial.U.copy(order="K"), initial.Y.copy(order="K")
+        state, step = DoState(t=t0, U=U0, Y=Y0), step_do
     else:
-        X0 = np.array(initial.product(), dtype=float, order="C")
-        state, step = FullState(t=0.0, X=X0), step_reference
+        X0 = np.array(initial.product(), dtype=float, order="K")
+        state, step = FullState(t=t0, X=X0), step_reference
     if scheme == "ambient":
         if R is None and factored:
             R = initial.rank
         if R is None:
             raise ShapeMismatch("the 'ambient' scheme needs a rank R")
         step = functools.partial(step_ambient_dlra, R=R)
-    n_atoms = state.product().shape[0]
+    n_atoms = len(state.Y if scheme == "do" else state.X)
     if path.N != n_atoms:
         raise ShapeMismatch("path has %d atoms, state has %d" % (path.N, n_atoms))
 
     # Steppers return fresh states, so snapshots need no copy.
     traj = Trajectory(
-        scheme=scheme, times=[0.0], states=[], diag=[], events=[], completed=True
+        scheme=scheme, times=[t0], states=[], diag=[], events=[], completed=True
     )
     record = traj.states.append if on_record is None else on_record
     record(state)
     if policy is not None:
         policy.attach(state)
 
-    k = 0
     while k < n_steps:
         try:
             state, report = step(model, state, path.increment(k), dt)

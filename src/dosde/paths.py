@@ -33,9 +33,13 @@ the block is in cache; a normal's bits depend only on its uniform, so
 the blocking never shows.  Memory stays bounded for any step count.
 ``BrownianPath.increments`` materialises (and keeps) the whole
 (n_steps, N, m) tensor; only it is capped by MAX_ELEMENTS.
-``BrownianPath.coarsened`` sums that tensor's step pairs into its own
-first half and hands it to the coarser path, so a dyadic ladder of
-levels holds one tensor at a time.
+
+``coarsen`` is the one pairwise-sum rule: every coarse increment, drawn
+at a level or built from a finer path, is made by its adds.
+``lockstep`` walks a dyadic ladder of nested levels in windows of
+whole coarsest steps, drawing each finest step once and holding one
+window of every level at a time, so a ladder's memory does not grow
+with its step count.
 """
 
 import math
@@ -264,28 +268,6 @@ class BrownianPath:
         view.flags.writeable = False
         return view
 
-    def coarsened(self):
-        """This path one dyadic level up: n_steps / 2 steps of 2 dt.
-
-        Bit-identical to ``generate(seed, n_steps // 2, 2 * dt, N, m,
-        level + 1)``, made from the materialised increments by one
-        pairwise pass instead of a fresh draw.  The pass writes step k's
-        pair sum over step k of the same tensor, which the coarse path
-        then keeps; this path drops it and draws again if asked.
-        """
-        if self.n_steps % 2:
-            raise InvalidEnsemble("cannot coarsen a path of %d steps" % self.n_steps)
-        fine = self.increments
-        half = self.n_steps // 2
-        # Step k's pair (2k, 2k + 1) is never a step an earlier k wrote.
-        # One step at a time needs no buffer; whole strided slices would.
-        for k in range(half):
-            np.add(fine[2 * k], fine[2 * k + 1], out=fine[k])
-        out = BrownianPath(self.seed, half, 2 * self.dt, self.N, self.m, self.level + 1)
-        out._tensor = fine[:half]
-        self._tensor = None
-        return out
-
     def _chunk_steps(self):
         """Steps per chunk: _CHUNK_ELEMENTS fine normals, at least one step."""
         return max(1, _CHUNK_ELEMENTS // ((self.N * self.m) << self.level))
@@ -295,13 +277,64 @@ class BrownianPath:
         per_step = 1 << self.level
         fine = out if self.level == 0 else np.empty((len(out) * per_step, self.N, self.m))
         _draw_normals(self.seed, start * per_step, fine, math.sqrt(self.dt / per_step))
-        # Dyadic aggregation: each pass halves the step count exactly.  A
-        # chunk starts on a step boundary, so every pair is the same pair
-        # the whole-tensor passes would add.
-        for _ in range(self.level - 1):
-            fine = fine[0::2] + fine[1::2]
+        # A chunk starts on a step boundary, so every pair is the same
+        # pair the whole-tensor passes would add.
         if self.level:
-            np.add(fine[0::2], fine[1::2], out=out)
+            coarsen(fine, out)
+
+
+def coarsen(fine, out):
+    """Sum the steps of ``fine`` pairwise into ``out`` and return it.
+
+    ``fine`` has ``len(out) * 2**j`` steps, j >= 1; each of the j passes
+    adds adjacent steps and halves the count, so out[k] sums fine steps
+    k 2^j .. (k + 1) 2^j - 1 as a balanced tree.  A dyadic level's
+    increments are exactly these sums of their finest draws.
+    """
+    while len(fine) > 2 * len(out):
+        fine = fine[0::2] + fine[1::2]
+    np.add(fine[0::2], fine[1::2], out=out)
+    return out
+
+
+def lockstep(seed, n_steps, dt, N, m, levels, width=None):
+    """Walk ``levels`` nested dyadic paths over ``n_steps`` steps of ``dt``
+    together, window by window.
+
+    Level l is ``generate(seed, n_steps << l, dt / 2**l, N, m,
+    level=levels - 1 - l)``: every level resolves the finest one's grid,
+    and level l's steps are the pair sums of level l + 1's.  A window is
+    as many whole level-0 steps as fit in one chunk at ``width`` values
+    per atom and finest step (m by default), and at least one.  A caller
+    that holds its own per-step values, such as recorded states of d
+    values per atom, passes their count to bound those too.  A window's
+    finest steps are drawn once, straight into a held block, and each
+    coarser level's block is ``coarsen``-ed from the one below it.
+
+    Yields ``(stop, ladder)`` per window: ``stop`` is the level-0 step
+    the window ends at, and ``ladder[l]`` is level l's path, holding
+    the window's steps, from the previous window's ``stop << l`` (0 for
+    the first) up to ``stop << l``.  The blocks are overwritten by the
+    next window, and asking a ladder path for a step outside its window
+    raises.
+    """
+    top = levels - 1
+    ladder = [generate(seed, n_steps << lvl, dt / (1 << lvl), N, m, level=top - lvl)
+              for lvl in range(levels)]
+    span = max(1, _CHUNK_ELEMENTS // ((N * max(m, width or m)) << top))
+    blocks = [np.empty((min(span, n_steps) << lvl, N, m)) for lvl in range(levels)]
+    for start in range(0, n_steps, span):
+        stop = min(n_steps, start + span)
+        for lvl in reversed(range(levels)):
+            block = blocks[lvl][:(stop - start) << lvl]
+            if lvl == top:
+                ladder[top]._fill(start << top, block)
+            else:
+                coarsen(blocks[lvl + 1][:2 * len(block)], block)
+            block.flags.writeable = False  # so drawing into a held window raises
+            held = ladder[lvl]
+            held._chunk, held._chunk_start, held._chunk_len = block, start << lvl, len(block)
+        yield stop, ladder
 
 
 def generate(seed, n_steps, dt, N, m, level=0):

@@ -56,13 +56,16 @@ def picard_local_solve(model, U0, Y0, path, n_iters=7):
 
     All sweeps run in one pass over the grid.  Iterate n at grid point
     j + 1 needs only iterate n - 1 up to point j, so at each point the
-    iterates advance from the last down to the first, each from its
-    predecessor's current value; ``path.increment(j)`` is read once and
-    only the iterates' current values are held.  The panel sums add in
+    iterates advance from the first up, each from its predecessor's
+    value at j; ``path.increment(j)`` is read once and only the
+    iterates' current values are held.  The panel sums add in
     ``cumsum``'s order and the sups are running maxima, so every number
     has the bits of sweeping one iterate at a time over the whole grid.
-    A failure stops its iterate and every later one, and the failure of
-    the earliest iterate is raised at the end, as that sweep order would.
+    Converged iterates share their panels: when iterate n - 1's value at
+    j has the bytes of iterate n - 2's, iterate n takes iterate n - 1's
+    panel instead of evaluating the same one again.  A failure stops its
+    iterate and every later one, and the failure of the earliest iterate
+    is raised at the end, as that sweep order would.
     """
     # Row-major whatever the caller passed: a sum of squares adds in
     # memory order.
@@ -104,12 +107,15 @@ def picard_local_solve(model, U0, Y0, path, n_iters=7):
             break
         observe()
         dW = path.increment(j)
-        for n in range(live, 0, -1):
-            try:
-                dU, dY_drift, dY_noise = _panel(model, times[j], U[n - 1], Y[n - 1], dW, n, j)
-            except Exception as err:  # raised once no earlier iterate can fail first
-                failure, live = err, n - 1
-                continue
+        Uj, Yj = U[:live], Y[:live]  # iterates 0 .. live - 1 at point j
+        for n in range(1, live + 1):
+            if n == 1 or not (_same(Uj[n - 1], Uj[n - 2]) and _same(Yj[n - 1], Yj[n - 2])):
+                try:
+                    panel = _panel(model, times[j], Uj[n - 1], Yj[n - 1], dW, n, j)
+                except Exception as err:  # raised once no earlier iterate can fail first
+                    failure, live = err, n - 1
+                    break
+            dU, dY_drift, dY_noise = panel
             x = dU * h
             U_sum[n] = x if j == 0 else U_sum[n] + x
             U[n] = U0 + U_sum[n]
@@ -129,6 +135,11 @@ def picard_local_solve(model, U0, Y0, path, n_iters=7):
         sup_U_sq=[float(v) for v in sup_U],
         exp_sup_Y_sq=[float(mean(v)) for v in sup_Y],
     )
+
+
+def _same(a, b):
+    """Whether two iterate values have the same bytes (so -0.0 is not 0.0)."""
+    return a is b or a.tobytes() == b.tobytes()
 
 
 def _panel(model, t, Uj, Yj, dW, n, j):

@@ -514,6 +514,35 @@ run.n_atoms = 64
 run.rank = 3
 run.seed = 4
 """),
+    # One level-0 step is 64 finest steps of 1024 atoms x 16 channels:
+    # four chunks of the finest path.
+    "compare-do-ambient-several-chunks-per-step": ("compare", """
+model.name = additive_floor
+run.dim = 16
+run.scheme = do
+compare.scheme_b = ambient
+compare.levels = 7
+run.t_end = 0.03
+run.dt = 0.01
+run.n_atoms = 1024
+run.rank = 3
+run.seed = 6
+"""),
+    # test_compare_shortened_run_exits_3's config: do halts at t_star = 1
+    # on both levels, and reference runs on to t_end unpaired.
+    "compare-do-reference-mode_crossing-halts": ("compare", """
+model.name = mode_crossing
+model.t_star = 1.0
+run.dim = 4
+run.scheme = do
+compare.scheme_b = reference
+compare.levels = 2
+run.t_end = 1.2
+run.dt = 1e-2
+run.n_atoms = 64
+run.rank = 2
+run.seed = 0
+"""),
     "explosion-study-mode_crossing": ("explosion-study", """
 model.name = mode_crossing
 model.t_star = 1.0
@@ -551,6 +580,7 @@ harness.n_trials = 20
 # Determinism).
 _GOLDEN_KERNEL = "SkylakeX"
 _GOLDEN_LOG_SIMD = "X86_V4"
+_GOLDEN_EXIT = {"compare-do-reference-mode_crossing-halts": 3}
 _GOLDEN_DIGESTS = {
     "compare-do-ambient": {
         "error_report.csv":
@@ -559,6 +589,14 @@ _GOLDEN_DIGESTS = {
     "compare-do-ambient-additive_floor": {
         "error_report.csv":
             "b533565db0c06ca427a6501a4cc9c48a1ade371d33473399b88d8801d92da76e",
+    },
+    "compare-do-ambient-several-chunks-per-step": {
+        "error_report.csv":
+            "4f146ddde8d072df7fc715e4ed933cdbb131407e937b3ea35653c49c5f099ef9",
+    },
+    "compare-do-reference-mode_crossing-halts": {
+        "error_report.csv":
+            "2aafbb0b1527271d57f9aa78ee89f4d2c2eb244cc164bbe22d5d2ee937f4c503",
     },
     "explosion-study-mode_crossing": {
         "crossings.csv":
@@ -607,8 +645,9 @@ _GOLDEN_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_GOLDEN_RUNS))
-def test_cli_outputs_match_golden_digests(name, tmp_path):
+def _golden_digests(name, tmp_path):
+    """Run a golden config in-process; the SHA-256 of each output but
+    manifest.txt, after checking the run's exit code."""
     from dosde import cli
 
     if (cli._blas_info()[0], cli._log_simd()) != (_GOLDEN_KERNEL, _GOLDEN_LOG_SIMD):
@@ -616,13 +655,140 @@ def test_cli_outputs_match_golden_digests(name, tmp_path):
                     % (_GOLDEN_KERNEL, _GOLDEN_LOG_SIMD))
     command, text = _GOLDEN_RUNS[name]
     out = tmp_path / "out"
-    assert cli.main([command, _write(tmp_path, text), "--out", str(out)]) == 0
-    digests = {
+    code = cli.main([command, _write(tmp_path, text), "--out", str(out)])
+    assert code == _GOLDEN_EXIT.get(name, 0)
+    return {
         f.name: hashlib.sha256(f.read_bytes()).hexdigest()
         for f in out.iterdir()
         if f.name != "manifest.txt"
     }
-    assert digests == _GOLDEN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_RUNS))
+def test_cli_outputs_match_golden_digests(name, tmp_path):
+    assert _golden_digests(name, tmp_path) == _GOLDEN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name, chunk", [
+    # windows of 10 level-0 steps: do's halt at t = 1.0 is a window's start
+    ("compare-do-reference-mode_crossing-halts", 20 * 64),
+    # windows of one level-0 step, however small the chunk
+    ("compare-do-ambient-several-chunks-per-step", 1000),
+    ("compare-do-ambient-additive_floor", 4 * 64 * 6),
+])
+def test_compare_windows_leave_the_golden_digests(name, chunk, tmp_path, monkeypatch, capsys):
+    from dosde import paths
+
+    monkeypatch.setattr(paths, "_CHUNK_ELEMENTS", chunk)
+    assert _golden_digests(name, tmp_path) == _GOLDEN_DIGESTS[name]
+    if name.endswith("halts"):
+        assert capsys.readouterr().err == (
+            "numerical failure: do run stopped at t=1.0 before t_end=1.2\n")
+
+
+_COMPARE_FOR_MEMORY = {
+    # The finest path dominates: it grows from 1.3 MB to 5.2 MB.
+    "additive_floor": ("""
+model.name = additive_floor
+run.dim = 16
+run.scheme = do
+compare.scheme_b = ambient
+compare.levels = 3
+run.t_end = {t_end!r}
+run.dt = 0.01
+run.n_atoms = 256
+run.rank = 3
+run.seed = 1
+""", 8 * 256 * 16),
+    # One channel against 64 dimensions: the first scheme's recorded
+    # states, 32 KB a step, dominate the path's 512 bytes, and a window
+    # sized by the path alone held a whole run's records here.
+    "mode_crossing": ("""
+model.name = mode_crossing
+model.t_star = 4.0
+run.dim = 64
+run.scheme = reference
+compare.scheme_b = do
+compare.levels = 2
+run.t_end = {t_end!r}
+run.dt = 0.01
+run.n_atoms = 64
+run.rank = 2
+run.seed = 1
+""", 8 * 64 * 64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COMPARE_FOR_MEMORY))
+def test_compare_memory_does_not_grow_with_t_end(name, tmp_path, monkeypatch):
+    # A small chunk budget (windows of two or four level-0 steps) stands
+    # in for the default one.  At the parent commit the finest path was
+    # materialised, and every recorded state of the first scheme kept.
+    import tracemalloc
+
+    from dosde import cli, paths
+
+    text, chunk = _COMPARE_FOR_MEMORY[name]
+    monkeypatch.setattr(paths, "_CHUNK_ELEMENTS", chunk)
+    peaks = []
+    for t_end in (0.1, 0.1, 0.4):  # the first run imports what compare needs
+        cfg = _write(tmp_path, text.format(t_end=t_end))
+        tracemalloc.start()
+        try:
+            assert cli.main(["compare", cfg, "--out", str(tmp_path / "out")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[2] - peaks[1]) < 0.1 * peaks[1]
+
+
+def test_compare_rejects_a_t_end_off_the_grid(tmp_path, capsys):
+    from dosde import cli
+
+    command, text = _GOLDEN_RUNS["compare-do-ambient-additive_floor"]
+    text = text.replace("run.t_end = 0.1\n", "run.t_end = 0.105\n")
+    out = tmp_path / "out"
+    assert cli.main([command, _write(tmp_path, text), "--out", str(out)]) == 3
+    assert "t_end=0.105 is not a multiple of dt=0.01" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_runs_past_the_materialisation_cap(tmp_path, monkeypatch):
+    # The finest path has 40 x 64 x 6 = 15360 entries; compare never
+    # builds it whole, so a cap far below it does not stop the run.
+    from dosde import cli, paths
+
+    monkeypatch.setattr(paths, "MAX_ELEMENTS", 1000)
+    command, text = _GOLDEN_RUNS["compare-do-ambient-additive_floor"]
+    out = tmp_path / "out"
+    assert cli.main([command, _write(tmp_path, text), "--out", str(out)]) == 0
+    assert len(_rows(out / "error_report.csv")) == 3
+
+
+@pytest.mark.parametrize("chunk", [1 << 18, 1000])
+def test_compare_steps_every_level_inside_integrate(chunk, tmp_path, monkeypatch):
+    # A wrapper like the benchmark's completion guard: every call reaches
+    # its own t_end, and the atom steps add up to both schemes on every
+    # level, 2 N sum_l n0 2^l.
+    from dosde import cli, integrators, paths
+
+    monkeypatch.setattr(paths, "_CHUNK_ELEMENTS", chunk)
+    integrate = integrators.integrate
+    counted = {"atom_steps": 0, "calls": 0}
+
+    def guarded(model, initial, scheme, t_end, dt, path, *args, **kwargs):
+        traj = integrate(model, initial, scheme, t_end, dt, path, *args, **kwargs)
+        assert traj.completed and abs(traj.times[-1] - t_end) <= 1e-9 * t_end
+        counted["atom_steps"] += path.N * len(traj.diag)
+        counted["calls"] += 1
+        return traj
+
+    monkeypatch.setattr(integrators, "integrate", guarded)
+    command, text = _GOLDEN_RUNS["compare-do-ambient-additive_floor"]
+    assert cli.main([command, _write(tmp_path, text), "--out", str(tmp_path / "out")]) == 0
+    n0, N, levels = 10, 64, 3
+    assert counted["atom_steps"] == 2 * N * sum(n0 << lvl for lvl in range(levels))
+    assert counted["calls"] % (2 * levels) == 0
 
 
 @pytest.mark.parametrize("name, fine_steps", [

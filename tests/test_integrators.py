@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 
 from dosde import kernels, paths
 from dosde.cli import _log_simd
-from dosde.errors import NonFiniteState, RankDeficient, ShapeMismatch, SingularGram
+from dosde.errors import (
+    InvalidEnsemble,
+    NonFiniteState,
+    RankDeficient,
+    ShapeMismatch,
+    SingularGram,
+)
 from dosde.integrators import (
     DoState,
     FullState,
@@ -453,3 +459,127 @@ def test_integrate_records_stride_multiples_and_final(scheme, n_steps, stride):
     assert [s.t for s in traj.states] == traj.times
     assert len(traj.diag) == n_steps
     assert [row.t for row in traj.diag] == [k * dt for k in range(1, n_steps + 1)]
+
+
+# ---------------------------------------------------------------- resuming
+
+
+def _clocked_ou(d=4):
+    """ou whose drift reads t, so a resumed run must carry the clock on."""
+    model = builtin("ou", kappa=1.0, sigma=0.5, d=d)
+    return dataclasses.replace(
+        model, drift=lambda t, x: -(1.0 + 10.0 * t) * np.asarray(x, dtype=float)
+    )
+
+
+def _same_state(a, b):
+    """Same time, same bytes and same memory layout."""
+    arrays = (("U", "Y") if isinstance(a, DoState) else ("X",))
+    return type(a) is type(b) and a.t == b.t and all(
+        getattr(a, f).strides == getattr(b, f).strides
+        and getattr(a, f).tobytes() == getattr(b, f).tobytes()
+        for f in arrays
+    )
+
+
+def _diag_bytes(rows):
+    return np.array([dataclasses.astuple(r) for r in rows]).tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["do", "ambient", "reference"])
+@pytest.mark.parametrize("model", [builtin("additive_floor", d=16), _clocked_ou(16)],
+                         ids=["additive_floor", "clocked_ou"])
+def test_a_run_split_at_every_grid_step_equals_the_unbroken_run(scheme, model):
+    # At these sizes a C-ordered copy of the resumed basis moves the
+    # factored run's bits.
+    n, dt, N, R = 12, 1e-2, 64, 3
+    init = default_initial(model, N, R, seed=3)
+    path = paths.generate(5, n, dt, N, model.m)
+    whole = integrate(model, init, scheme, n * dt, dt, path, R=R)
+    if scheme == "do":
+        # the retracted basis is a transposed QR factor, Fortran-ordered
+        assert whole.states[-1].U.flags.f_contiguous and not whole.states[-1].U.flags.c_contiguous
+    pieces, state = [], init
+    for k in range(1, n + 1):
+        part = integrate(model, state, scheme, k * dt, dt, path, R=R)
+        assert part.completed and part.times == [(k - 1) * dt, k * dt]
+        pieces.append(part)
+        state = part.states[-1]
+    states = pieces[0].states[:1] + [s for p in pieces for s in p.states[1:]]
+    assert [t for p in pieces for t in p.times[1:]] == whole.times[1:]
+    assert len(states) == len(whole.states)
+    assert all(_same_state(a, b) for a, b in zip(states, whole.states))
+    assert _diag_bytes([r for p in pieces for r in p.diag]) == _diag_bytes(whole.diag)
+
+
+@pytest.mark.parametrize("scheme", ["do", "reference"])
+def test_a_resumed_run_records_at_global_stride_multiples(scheme):
+    model = builtin("ou", d=3)
+    init = default_initial(model, 16, 2, seed=0)
+    dt, n, k0, stride = 1e-2, 14, 3, 4
+    path = paths.generate(0, n, dt, 16, model.m)
+    start = integrate(model, init, scheme, k0 * dt, dt, path).states[-1]
+    traj = integrate(model, start, scheme, n * dt, dt, path, record_stride=stride)
+    kept = [k for k in range(k0 + 1, n + 1) if k % stride == 0 or k == n]
+    assert traj.times == [k0 * dt] + [k * dt for k in kept]
+    assert [s.t for s in traj.states] == traj.times
+    assert [r.t for r in traj.diag] == [k * dt for k in range(k0 + 1, n + 1)]
+
+
+@pytest.mark.parametrize("t", [0.015, 0.11, -0.01, math.nan, math.inf])
+def test_integrate_rejects_a_start_off_the_grid_or_past_t_end(t):
+    model = builtin("ou", d=2)
+    init = default_initial(model, 16, 2, seed=0)
+    path = paths.generate(0, 10, 1e-2, 16, model.m)
+    with pytest.raises(ShapeMismatch):
+        integrate(model, DoState(t=t, U=init.U, Y=init.Y), "do", 0.1, 1e-2, path)
+    with pytest.raises(ShapeMismatch):
+        integrate(model, FullState(t=t, X=init.product()), "reference", 0.1, 1e-2, path)
+
+
+def test_a_start_at_t_end_takes_no_step():
+    model = builtin("ou", d=2)
+    init = default_initial(model, 16, 2, seed=0)
+    path = paths.generate(0, 10, 1e-2, 16, model.m)
+    end = integrate(model, init, "do", 0.1, 1e-2, path).states[-1]
+    traj = integrate(model, end, "do", 0.1, 1e-2, path)
+    assert traj.completed and traj.diag == [] and traj.times == [end.t]
+    assert _same_state(traj.states[0], end)
+
+
+def test_a_resume_on_a_singular_gram_halts_with_the_unbroken_event():
+    # mode_crossing's coefficients become collinear at t_star = 1: the
+    # state there is a valid resume point, and its first step halts.
+    model = builtin("mode_crossing")
+    init = default_initial(model, N=64, R=2, seed=0)
+    dt = 1e-2
+    path = paths.generate(23, 120, dt, 64, model.m)
+    whole = integrate(model, init, "do", 1.2, dt, path)
+    assert not whole.completed and whole.events[0].t_event == 1.0
+    first = integrate(model, init, "do", 1.0, dt, path)
+    assert first.completed
+    rest = integrate(model, first.states[-1], "do", 1.2, dt, path)
+    assert not rest.completed and rest.diag[-1].gram_inv_frobenius == math.inf
+    assert _diag_bytes(first.diag + rest.diag) == _diag_bytes(whole.diag)
+    (a,), (b,) = rest.events, whole.events
+    assert (a.t_event, a.old_rank, a.new_rank) == (b.t_event, b.old_rank, b.new_rank)
+    assert np.array([a.discarded_mass, a.inv_norm_at_event]).tobytes() == np.array(
+        [b.discarded_mass, b.inv_norm_at_event]).tobytes()
+    assert a.singular_values.tobytes() == b.singular_values.tobytes()
+
+
+def test_a_later_state_is_checked_for_shape_and_finiteness_only():
+    U = np.array([[1.0, 1.0]])  # not orthonormal: fine after t = 0, not at it
+    Y = np.ones((4, 1))
+    DoState(t=0.5, U=U, Y=Y).validate()
+    with pytest.raises(InvalidEnsemble, match="orthonormal"):
+        DoState(t=0.0, U=U, Y=Y).validate()
+    with pytest.raises(InvalidEnsemble, match="non-finite"):
+        DoState(t=0.5, U=np.array([[1.0, np.nan]]), Y=Y).validate()
+    with pytest.raises(InvalidEnsemble, match="columns"):
+        DoState(t=0.5, U=U, Y=np.ones((4, 2))).validate()
+
+
+def test_validate_names_a_basis_that_is_not_2d():
+    with pytest.raises(InvalidEnsemble, match="U must be 2-D"):
+        DoState(t=0.0, U=np.ones(3), Y=np.ones((4, 1))).validate()

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from dosde import paths
 from dosde.cli import _log_simd
-from dosde.errors import InvalidEnsemble, OverflowingDims
+from dosde.errors import OverflowingDims
 from dosde.integrators import integrate
 from dosde.models import builtin, default_initial
 
@@ -196,42 +196,72 @@ def test_increment_rejects_steps_outside_the_path():
 
 
 def test_coarsened_equals_the_next_level():
-    fine = paths.generate(5, 12, 0.05, 9, 3, level=1)
-    coarse = fine.coarsened()
-    direct = paths.generate(5, 6, 0.1, 9, 3, level=2)
-    assert (coarse.n_steps, coarse.dt, coarse.level) == (6, 0.1, 2)
-    assert coarse.increments.tobytes() == direct.increments.tobytes()
-    assert coarse.increment(5).tobytes() == direct.increment(5).tobytes()
-    with pytest.raises(InvalidEnsemble):
-        paths.generate(5, 3, 0.05, 9, 3).coarsened()
+    # One pass or several: coarsen's pair sums are the next levels' bits.
+    fine = paths.generate(5, 24, 0.025, 9, 3).increments
+    for passes in (1, 2, 3):
+        coarse = paths.coarsen(fine, np.empty((24 >> passes, 9, 3)))
+        direct = paths.generate(5, 24 >> passes, 0.025 * (1 << passes), 9, 3, level=passes)
+        assert coarse.tobytes() == direct.increments.tobytes()
+    half = paths.generate(5, 12, 0.05, 9, 3, level=1).increments
+    coarse = paths.coarsen(half, np.empty((6, 9, 3)))
+    assert coarse.tobytes() == paths.generate(5, 6, 0.1, 9, 3, level=2).increments.tobytes()
 
 
 @pytest.mark.parametrize("n_steps", [2, 6, 24, 40])
-def test_coarsened_ladder_equals_each_level(n_steps):
-    # Each level overwrites the tensor it came from; every rung still has
-    # the bits of its own draw, and a coarsened path draws again if asked.
-    path = paths.generate(8, n_steps, 0.01, 5, 2)
-    level = 0
-    while path.n_steps % 2 == 0:
-        fine, path = path, path.coarsened()
-        level += 1
-        direct = paths.generate(8, n_steps >> level, 0.01 * (1 << level), 5, 2, level=level)
-        assert path.increments.tobytes() == direct.increments.tobytes()
-    redrawn = paths.generate(8, fine.n_steps, fine.dt, 5, 2, level=fine.level)
-    assert fine.increments.tobytes() == redrawn.increments.tobytes()
+def test_coarsened_ladder_equals_each_level(n_steps, monkeypatch):
+    # Windows of two level-0 steps (8 finest steps) at most; every rung
+    # of every window holds its own level's bits, and only them.
+    N, m, levels = 5, 2, 3
+    monkeypatch.setattr(paths, "_CHUNK_ELEMENTS", 9 * N * m)
+    direct = [paths.generate(8, n_steps << lvl, 0.01 / (1 << lvl), N, m, level=2 - lvl)
+              for lvl in range(levels)]
+    start = 0
+    for stop, ladder in paths.lockstep(8, n_steps, 0.01, N, m, levels):
+        assert 0 < stop - start <= 2
+        for lvl, (held, path) in enumerate(zip(ladder, direct)):
+            assert (held.n_steps, held.dt, held.level) == (path.n_steps, path.dt, path.level)
+            for k in range(start << lvl, stop << lvl):
+                assert held.increment(k).tobytes() == path.increment(k).tobytes()
+            for k in (start << lvl) - 1, stop << lvl:
+                if 0 <= k < held.n_steps:
+                    with pytest.raises(ValueError):
+                        held.increment(k)
+        start = stop
+    assert start == n_steps
 
 
 def test_coarsened_allocates_no_second_tensor():
-    fine = paths.generate(9, 64, 0.01, 128, 8)
-    tensor_bytes = fine.increments.nbytes
+    # One pass adds into ``out`` through numpy's fixed-size ufunc buffers.
+    fine = paths.generate(9, 256, 0.01, 256, 8).increments
+    out = np.empty((128, 256, 8))
     tracemalloc.start()
     try:
-        coarse = fine.coarsened()
+        paths.coarsen(fine, out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < tensor_bytes / 64  # a separate coarse tensor is tensor_bytes / 2
-    assert coarse.increments.base is not None and fine._tensor is None
+    assert peak < fine.nbytes / 16  # a separate coarse tensor is fine.nbytes / 2
+
+
+@pytest.mark.parametrize("levels, chunk, width, span", [
+    (1, 1 << 18, None, 7), (3, 40, None, 1), (4, 7, None, 1), (3, 1000, None, 7),
+    (3, 200, None, 7), (3, 200, 1, 7), (3, 200, 8, 2), (2, 200, 8, 4),
+])
+def test_lockstep_draws_each_finest_normal_once(levels, chunk, width, span, monkeypatch):
+    # A window is chunk // (N max(m, width) 2^(levels - 1)) level-0 steps,
+    # at least one, and the last window takes what is left.
+    drawn = []
+    draw = paths._draw_normals
+
+    def counting(seed, first_step, out, scale):
+        drawn.extend(range(first_step, first_step + len(out)))
+        return draw(seed, first_step, out, scale)
+
+    monkeypatch.setattr(paths, "_draw_normals", counting)
+    monkeypatch.setattr(paths, "_CHUNK_ELEMENTS", chunk)
+    stops = [stop for stop, _ in paths.lockstep(2, 7, 0.1, 3, 2, levels, width=width)]
+    assert stops == list(range(span, 7, span)) + [7]
+    assert drawn == list(range(7 << (levels - 1)))
 
 
 # SHA-256 of ``increments`` recorded with the whole-tensor generator.

@@ -14,6 +14,7 @@ from dosde import kernels, paths
 from dosde.errors import InvalidEnsemble, ShapeMismatch, SingularGram, SingularRowGram
 from dosde.integrators import _noise
 from dosde.models import builtin, default_initial
+from dosde import picard
 from dosde.picard import picard_local_solve
 
 
@@ -265,3 +266,133 @@ def test_memory_does_not_grow_with_the_grid(monkeypatch):
     short = _traced_peak(16, N, model, init)
     long = _traced_peak(256, N, model, init)
     assert abs(long - short) < 2 * chunk_bytes
+
+
+def _downward_oracle(model, U0, Y0, path, n_iters):
+    """The one-pass solver before converged iterates shared panels: at
+    each grid point the iterates advance from the last down to the
+    first, and every one evaluates its own panel."""
+    U0 = np.ascontiguousarray(U0, dtype=float)
+    Y0 = np.ascontiguousarray(Y0, dtype=float)
+    N = Y0.shape[0]
+    K, h = path.n_steps, path.dt
+    times = np.arange(K + 1) * h
+    U = [U0] * (n_iters + 1)
+    Y = [Y0] * (n_iters + 1)
+    U_sum = [None] * (n_iters + 1)
+    Y_sum = [None] * (n_iters + 1)
+    sup_U = np.full(n_iters + 1, -np.inf)
+    sup_Y = np.full((n_iters + 1, N), -np.inf)
+    diff_U = np.full(n_iters + 1, -np.inf)
+    diff_Y = np.full((n_iters + 1, N), -np.inf)
+    live, failure = n_iters, None
+
+    def observe():
+        for n in range(live + 1):
+            sup_U[n] = np.maximum(sup_U[n], np.sum(U[n] ** 2))
+            np.maximum(sup_Y[n], np.sum(Y[n] ** 2, axis=1), out=sup_Y[n])
+            if n:
+                diff_U[n] = np.maximum(diff_U[n], np.sum((U[n] - U[n - 1]) ** 2))
+                np.maximum(diff_Y[n], np.sum((Y[n] - Y[n - 1]) ** 2, axis=1), out=diff_Y[n])
+
+    for j in range(K):
+        if not live:
+            break
+        observe()
+        dW = path.increment(j)
+        for n in range(live, 0, -1):
+            try:
+                dU, dY_drift, dY_noise = picard._panel(
+                    model, times[j], U[n - 1], Y[n - 1], dW, n, j)
+            except Exception as err:
+                failure, live = err, n - 1
+                continue
+            x = dU * h
+            U_sum[n] = x if j == 0 else U_sum[n] + x
+            U[n] = U0 + U_sum[n]
+            x = dY_drift * h + dY_noise
+            Y_sum[n] = x if j == 0 else Y_sum[n] + x
+            Y[n] = Y0 + Y_sum[n]
+    if failure is not None:
+        raise failure
+    observe()
+    mean = kernels.ensemble_mean
+    deltas = [float(diff_U[n]) + float(mean(diff_Y[n])) for n in range(1, n_iters + 1)]
+    return (deltas, [float(v) for v in sup_U], [float(mean(v)) for v in sup_Y], U, Y)
+
+
+def _assert_matches_downward_oracle(model, U0, Y0, path, n_iters):
+    try:
+        oracle = _downward_oracle(model, U0, Y0, path, n_iters)
+    except Exception as err:
+        with pytest.raises(type(err)) as raised:
+            picard_local_solve(model, U0, Y0, path, n_iters=n_iters)
+        assert str(raised.value) == str(err)
+        return err
+    res = picard_local_solve(model, U0, Y0, path, n_iters=n_iters)
+    sup_differences, sup_U_sq, exp_sup_Y_sq, U_end, Y_end = oracle
+    assert np.array(res.sup_differences).tobytes() == np.array(sup_differences).tobytes()
+    assert np.array(res.sup_U_sq).tobytes() == np.array(sup_U_sq).tobytes()
+    assert np.array(res.exp_sup_Y_sq).tobytes() == np.array(exp_sup_Y_sq).tobytes()
+    for a, b in zip(res.U_end + res.Y_end, U_end + Y_end, strict=True):
+        assert a.tobytes() == b.tobytes()
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(_picard_cases())
+def test_shared_panels_match_the_downward_oracle(case):
+    _assert_matches_downward_oracle(*_case_inputs(case))
+
+
+def test_converged_iterates_share_their_panels(monkeypatch):
+    # At j = 0 every iterate is the start, and later iterates converge to
+    # the bit: most panels are shared, with the same result.
+    model, init, path = _setup(n_grid=16)
+    calls = []
+    panel = picard._panel
+    monkeypatch.setattr(picard, "_panel", lambda *a: calls.append(a[-2:]) or panel(*a))
+    _downward_oracle(model, init.U, init.Y, path, 6)
+    assert len(calls) == 16 * 6
+    calls.clear()
+    _assert_matches_downward_oracle(model, init.U, init.Y, path, 6)
+    shared = calls[16 * 6:]
+    assert (1, 0) in shared and (2, 0) not in shared
+    assert len(shared) < 16 * 6 * 2 / 3  # 52 on OpenBLAS SkylakeX
+
+
+def _signed_panel(model, t, Uj, Yj, dW, n, j):
+    """A panel that reads the sign of zero: coefficient drift 1 where Y
+    is +0.0, else 0; no basis motion, no noise."""
+    plus_zero = (Yj == 0.0) & ~np.signbit(Yj)
+    return np.zeros_like(Uj), np.where(plus_zero, 1.0, 0.0), np.zeros_like(Yj)
+
+
+def test_a_signed_zero_is_not_a_converged_iterate(monkeypatch):
+    # Y0 holds -0.0.  Iterate 1 adds +0.0 everywhere at j = 0, so at
+    # j = 1 it holds +0.0 where iterate 0 still holds -0.0: equal values,
+    # other bytes, and other panels.
+    monkeypatch.setattr(picard, "_panel", _signed_panel)
+    model = builtin("ou", d=2)
+    U0 = np.eye(2)
+    Y0 = np.array([[-0.0, 1.0], [1.0, -1.0], [2.0, 0.5]])
+    path = paths.generate(0, 4, 0.1, 3, model.m)
+    assert _assert_matches_downward_oracle(model, U0, Y0, path, 4) is None
+    res = picard_local_solve(model, U0, Y0, path, n_iters=4)
+    assert res.Y_end[2][0, 0] != res.Y_end[1][0, 0]
+
+
+def test_a_failing_iterate_raises_the_downward_error(monkeypatch):
+    # Iterates 3 and later fail from grid point 2, and iterate 2 from
+    # point 3: the error raised is iterate 2's, the earliest iterate.
+    model, init, path = _setup(n_grid=8)
+    panel = picard._panel
+
+    def failing(model, t, Uj, Yj, dW, n, j):
+        if (n >= 3 and j >= 2) or (n == 2 and j >= 3):
+            raise SingularGram("iterate %d left the admissible ball at grid point %d" % (n, j))
+        return panel(model, t, Uj, Yj, dW, n, j)
+
+    monkeypatch.setattr(picard, "_panel", failing)
+    err = _assert_matches_downward_oracle(model, init.U, init.Y, path, 5)
+    assert str(err) == "iterate 2 left the admissible ball at grid point 3"
