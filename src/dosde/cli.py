@@ -449,8 +449,10 @@ def _self_test():
     )
     fine = paths.generate(7, 8, 0.25, 8, 2, level=0)
     coarse = paths.generate(7, 4, 0.5, 8, 2, level=1)
-    agg = fine.increments[0::2] + fine.increments[1::2]
-    check("path refinement consistency", np.array_equal(agg, coarse.increments))
+    fine_steps = np.stack([fine.increment(k).copy() for k in range(8)])
+    agg = paths.coarsen(fine_steps, np.empty((4, 8, 2)))
+    check("path refinement consistency",
+          all(np.array_equal(agg[k], coarse.increment(k)) for k in range(4)))
 
     model = builtin("ou", kappa=1.0, sigma=1.0, d=3)
     init = default_initial(model, 32, 3, seed=1)

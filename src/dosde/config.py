@@ -188,6 +188,8 @@ def validate_config(cfg):
         raise ValidationError("dt exceeds t_end", field="run.dt")
     if cfg.rank > cfg.dim:
         raise ValidationError("rank exceeds dim", field="run.rank")
+    if cfg.harness_rank > min(cfg.harness_dim, cfg.harness_atoms):
+        raise ValidationError("rank exceeds dim or n_atoms", field="harness.rank")
     return cfg
 
 

@@ -52,10 +52,6 @@ class AssumptionViolated(DosdeError):
     """Probing found drift/diffusion behaviour outside the declared constants."""
 
 
-class OverflowingDims(DosdeError):
-    """Requested noise tensor exceeds the configured memory budget."""
-
-
 class NoFloorDeclared(DosdeError):
     """Model declares no uniform noise floor (sigma_B = 0)."""
 

@@ -48,37 +48,23 @@ _LEAF = 256
 def pairwise_sum(values, axis=0):
     """Sum along ``axis`` with a fixed-shape pairwise tree.
 
-    Adjacent elements are paired level by level, so the reduction order
-    depends only on the axis length.  Bit-identical results regardless
-    of threading or chunking, and better rounding than a running sum.
+    Adjacent elements are paired level by level, an odd last element
+    carried up unchanged, so the reduction order depends only on the
+    axis length.  Bit-identical results regardless of threading or
+    chunking, and better rounding than a running sum.
     """
     a = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
     n = a.shape[0]
     if n == 0:
         raise InvalidEnsemble("cannot reduce an empty axis")
-    buf = np.empty(((n + 1) // 2,) + a.shape[1:])
-    n = _halve(a, n, buf)
-    return _tree(buf, n, np.empty_like(buf[: (n + 1) // 2])).copy()
-
-
-def _halve(src, n, out):
-    """One tree level over axis 0: out[i] = src[2i] + src[2i+1], with an
-    odd last row carried unchanged.  Returns the new length."""
-    m = n // 2
-    np.add(src[0 : 2 * m : 2], src[1 : 2 * m : 2], out=out[:m])
-    if n % 2:
-        out[m] = src[n - 1]
-    return m + n % 2
-
-
-def _tree(cur, n, other):
-    """Reduce cur[:n] over axis 0 with the pairwise tree, writing the
-    levels alternately into ``other`` (at least ceil(n/2) rows) and
-    ``cur``; both are overwritten.  Returns the sum as a view of one."""
     while n > 1:
-        n = _halve(cur, n, other)
-        cur, other = other, cur
-    return cur[0]
+        half, odd = divmod(n, 2)
+        level = np.empty((half + odd,) + a.shape[1:])
+        np.add(a[0 : 2 * half : 2], a[1 : 2 * half : 2], out=level[:half])
+        if odd:
+            level[half] = a[n - 1]
+        a, n = level, half + odd
+    return a[0].copy()
 
 
 def ensemble_mean(values, axis=0):

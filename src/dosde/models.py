@@ -265,8 +265,8 @@ PARAM_NAMES = {
 def builtin(name, **params):
     """Construct a builtin model by name.
 
-    Raises UnknownModel for unregistered names and BadParams for unknown
-    or out-of-range parameters.
+    Raises UnknownModel for unregistered names and BadParams for unknown,
+    non-finite or out-of-range parameters.
     """
     try:
         factory = _BUILTINS[name]
@@ -278,6 +278,14 @@ def builtin(name, **params):
     extra = set(params) - allowed
     if extra:
         raise BadParams("%s: unknown parameters %s" % (name, ", ".join(sorted(extra))))
+    for key, value in params.items():
+        try:
+            a = np.asarray(value)
+            finite = a.dtype.kind in "iuf" and bool(np.isfinite(a).all())
+        except ValueError:  # a ragged list
+            finite = False
+        if not finite:
+            raise BadParams("%s: %s must be finite reals, got %r" % (name, key, value))
     return factory(**params)
 
 
@@ -383,6 +391,8 @@ def default_initial(model, N, R, seed=0):
     """
     if not (isinstance(N, int) and N >= 2):
         raise BadParams("need at least 2 atoms, got %r" % (N,))
+    if N < R:
+        raise BadParams("need at least R atoms, got N=%d, R=%d" % (N, R))
     if model.name == "mode_crossing":
         if R != 2:
             raise BadParams("mode_crossing initial datum has rank 2, got R=%d" % R)

@@ -23,23 +23,24 @@ is bit-identical to pairwise-coarsening
 
 because both resolve the same finest grid.
 
-``generate`` draws nothing.  ``BrownianPath.increment(k)`` streams: it
-draws whole chunks of steps, about ``_CHUNK_ELEMENTS`` fine normals
-each, into one reused buffer, and coarsens inside each step in the same
-pairwise order as the whole tensor, so every increment has the same
-bits however it is reached.  Inside a chunk the normals are made in
-blocks of ``_BLOCK`` consecutive draws, uniform to scaled normal while
-the block is in cache; a normal's bits depend only on its uniform, so
-the blocking never shows.  Memory stays bounded for any step count.
-``BrownianPath.increments`` materialises (and keeps) the whole
-(n_steps, N, m) tensor; only it is capped by MAX_ELEMENTS.
+``generate`` draws nothing.  ``BrownianPath.increment(k)`` streams:
+every step is served from one window of whole steps, about
+``_CHUNK_ELEMENTS`` fine normals, held in one reused buffer.  A plain
+path refills the window with the chunk that holds k when k falls
+outside it; inside a chunk each step is coarsened in the same pairwise
+order as a whole tensor would be, so every increment has the same bits
+however it is reached.  Inside a chunk the normals are made in blocks
+of ``_BLOCK`` consecutive draws, uniform to scaled normal while the
+block is in cache; a normal's bits depend only on its uniform, so the
+blocking never shows.  Memory stays bounded for any step count.
 
 ``coarsen`` is the one pairwise-sum rule: every coarse increment, drawn
 at a level or built from a finer path, is made by its adds.
 ``lockstep`` walks a dyadic ladder of nested levels in windows of
-whole coarsest steps, drawing each finest step once and holding one
-window of every level at a time, so a ladder's memory does not grow
-with its step count.
+whole coarsest steps, drawing each finest step once and handing each
+level's path its window with ``BrownianPath.hold``; a held path
+refuses every step outside its window, so a ladder's memory does not
+grow with its step count.
 """
 
 import math
@@ -47,10 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidEnsemble, OverflowingDims
-
-# Memory budget for one materialised path tensor, in float64 elements (~1 GiB).
-MAX_ELEMENTS = 1 << 27
+from .errors import InvalidEnsemble
 
 # Fine-grid normals drawn per streamed chunk, in float64 elements (2 MiB);
 # a chunk always holds at least one whole step.
@@ -205,13 +203,20 @@ def _draw_normals(seed, first_step, out, scale):
         block[tail] = _tail_quantiles(u_tail, scale)
 
 
+def _chunk_steps(per_step):
+    """Steps per chunk at ``per_step`` values each: _CHUNK_ELEMENTS of
+    them, and at least one step."""
+    return max(1, _CHUNK_ELEMENTS // per_step)
+
+
 @dataclass
 class BrownianPath:
     """Increments of an m-channel Brownian motion on a fixed grid.
 
     ``increment(k)[i, j]`` is the k-th step's increment for atom i,
-    channel j; each entry is Normal(0, dt) marginally.  ``increments``
-    is the same data as one (n_steps, N, m) tensor.
+    channel j; each entry is Normal(0, dt) marginally.  Steps are served
+    from one window: ``_chunk[:_chunk_len]`` holds steps ``_chunk_start``
+    onwards, and ``_held`` marks a window handed over by ``hold``.
     """
 
     seed: int
@@ -220,57 +225,49 @@ class BrownianPath:
     N: int
     m: int
     level: int
-    _tensor: np.ndarray = field(default=None, init=False, repr=False, compare=False)
     _chunk: np.ndarray = field(default=None, init=False, repr=False, compare=False)
     _chunk_start: int = field(default=0, init=False, repr=False, compare=False)
     _chunk_len: int = field(default=0, init=False, repr=False, compare=False)
-
-    @property
-    def increments(self):
-        """The whole (n_steps, N, m) tensor, drawn on first use and kept.
-
-        Raises OverflowingDims if it would exceed MAX_ELEMENTS entries.
-        """
-        if self._tensor is None:
-            total = self.n_steps * self.N * self.m
-            if total > MAX_ELEMENTS:
-                raise OverflowingDims(
-                    "path tensor needs %d elements, budget is %d" % (total, MAX_ELEMENTS)
-                )
-            out = np.empty((self.n_steps, self.N, self.m))
-            steps = self._chunk_steps()
-            for start in range(0, self.n_steps, steps):
-                self._fill(start, out[start:start + steps])
-            self._tensor = out
-        return self._tensor
+    _held: bool = field(default=False, init=False, repr=False, compare=False)
 
     def increment(self, k):
-        """Step ``k``'s increment, a read-only (N, m) array.
+        """Step ``k``'s increment, a read-only (N, m) view into the window.
 
-        Unless ``increments`` was materialised, this is a view into the
-        chunk buffer, which the next call outside its chunk overwrites.
+        A plain path refills the window, overwriting the views it handed
+        out, when ``k`` lies outside it.  A held path raises IndexError
+        instead, as for a step outside the path.
         """
         if not 0 <= k < self.n_steps:
             raise IndexError("step %r outside a path of %d steps" % (k, self.n_steps))
-        if self._tensor is not None:
-            view = self._tensor[k]
-        else:
-            if not self._chunk_start <= k < self._chunk_start + self._chunk_len:
-                if self._chunk is None:
-                    steps = min(self._chunk_steps(), self.n_steps)
-                    self._chunk = np.empty((steps, self.N, self.m))
-                steps = len(self._chunk)
-                start = k - k % steps
-                self._chunk_len = min(steps, self.n_steps - start)
-                self._chunk_start = start
-                self._fill(start, self._chunk[:self._chunk_len])
-            view = self._chunk[k - self._chunk_start]
+        start = self._chunk_start
+        if not start <= k < start + self._chunk_len:
+            if self._held:
+                raise IndexError("step %r outside the held window of steps %d..%d"
+                                 % (k, start, start + self._chunk_len - 1))
+            if self._chunk is None:
+                steps = _chunk_steps((self.N * self.m) << self.level)
+                self._chunk = np.empty((min(steps, self.n_steps), self.N, self.m))
+            steps = len(self._chunk)
+            start = k - k % steps
+            count = min(steps, self.n_steps - start)
+            # Empty until the fill returns, so an interrupted fill leaves
+            # no window that claims its half-written steps.
+            self._chunk_len = 0
+            self._fill(start, self._chunk[:count])
+            self._chunk_start, self._chunk_len = start, count
+        view = self._chunk[k - start]
         view.flags.writeable = False
         return view
 
-    def _chunk_steps(self):
-        """Steps per chunk: _CHUNK_ELEMENTS fine normals, at least one step."""
-        return max(1, _CHUNK_ELEMENTS // ((self.N * self.m) << self.level))
+    def hold(self, start, block):
+        """Serve steps ``start``, ``start + 1``, ... from ``block``, shape
+        (count, N, m), and refuse every other step until the next hold.
+
+        The caller fills ``block`` and may overwrite it once it hands
+        over the next window.
+        """
+        self._chunk, self._chunk_start, self._chunk_len = block, start, len(block)
+        self._held = True
 
     def _fill(self, start, out):
         """Draw steps start, start + 1, ... into ``out``, shape (count, N, m)."""
@@ -278,7 +275,7 @@ class BrownianPath:
         fine = out if self.level == 0 else np.empty((len(out) * per_step, self.N, self.m))
         _draw_normals(self.seed, start * per_step, fine, math.sqrt(self.dt / per_step))
         # A chunk starts on a step boundary, so every pair is the same
-        # pair the whole-tensor passes would add.
+        # pair a whole tensor's passes would add.
         if self.level:
             coarsen(fine, out)
 
@@ -315,13 +312,13 @@ def lockstep(seed, n_steps, dt, N, m, levels, width=None):
     the window ends at, and ``ladder[l]`` is level l's path, holding
     the window's steps, from the previous window's ``stop << l`` (0 for
     the first) up to ``stop << l``.  The blocks are overwritten by the
-    next window, and asking a ladder path for a step outside its window
-    raises.
+    next window, and a ladder path asked for a step outside its window
+    raises IndexError.
     """
     top = levels - 1
     ladder = [generate(seed, n_steps << lvl, dt / (1 << lvl), N, m, level=top - lvl)
               for lvl in range(levels)]
-    span = max(1, _CHUNK_ELEMENTS // ((N * max(m, width or m)) << top))
+    span = _chunk_steps((N * max(m, width or m)) << top)
     blocks = [np.empty((min(span, n_steps) << lvl, N, m)) for lvl in range(levels)]
     for start in range(0, n_steps, span):
         stop = min(n_steps, start + span)
@@ -331,9 +328,7 @@ def lockstep(seed, n_steps, dt, N, m, levels, width=None):
                 ladder[top]._fill(start << top, block)
             else:
                 coarsen(blocks[lvl + 1][:2 * len(block)], block)
-            block.flags.writeable = False  # so drawing into a held window raises
-            held = ladder[lvl]
-            held._chunk, held._chunk_start, held._chunk_len = block, start << lvl, len(block)
+            ladder[lvl].hold(start << lvl, block)
         yield stop, ladder
 
 
@@ -341,7 +336,7 @@ def generate(seed, n_steps, dt, N, m, level=0):
     """Describe Brownian increments for ``n_steps`` steps of size ``dt``.
 
     Nothing is drawn here: ``increment(k)`` streams steps in bounded
-    chunks, and ``increments`` materialises the whole tensor.
+    chunks.
 
     Parameters
     ----------

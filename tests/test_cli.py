@@ -9,6 +9,8 @@ import sys
 
 import numpy
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 BASE = """
 model.name = ou
@@ -722,8 +724,8 @@ run.seed = 1
 @pytest.mark.parametrize("name", sorted(_COMPARE_FOR_MEMORY))
 def test_compare_memory_does_not_grow_with_t_end(name, tmp_path, monkeypatch):
     # A small chunk budget (windows of two or four level-0 steps) stands
-    # in for the default one.  At the parent commit the finest path was
-    # materialised, and every recorded state of the first scheme kept.
+    # in for the default one.  Neither the finest path nor the first
+    # scheme's recorded states are held whole.
     import tracemalloc
 
     from dosde import cli, paths
@@ -751,18 +753,6 @@ def test_compare_rejects_a_t_end_off_the_grid(tmp_path, capsys):
     assert cli.main([command, _write(tmp_path, text), "--out", str(out)]) == 3
     assert "t_end=0.105 is not a multiple of dt=0.01" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_compare_runs_past_the_materialisation_cap(tmp_path, monkeypatch):
-    # The finest path has 40 x 64 x 6 = 15360 entries; compare never
-    # builds it whole, so a cap far below it does not stop the run.
-    from dosde import cli, paths
-
-    monkeypatch.setattr(paths, "MAX_ELEMENTS", 1000)
-    command, text = _GOLDEN_RUNS["compare-do-ambient-additive_floor"]
-    out = tmp_path / "out"
-    assert cli.main([command, _write(tmp_path, text), "--out", str(out)]) == 0
-    assert len(_rows(out / "error_report.csv")) == 3
 
 
 @pytest.mark.parametrize("chunk", [1 << 18, 1000])
@@ -796,8 +786,8 @@ def test_compare_steps_every_level_inside_integrate(chunk, tmp_path, monkeypatch
     ("picard-demo", 16),
 ])
 def test_each_fine_normal_is_drawn_once(name, fine_steps, tmp_path, monkeypatch):
-    # Small chunks split both compare's materialised finest path and
-    # Picard's streamed one into several draws; together they cover each
+    # Small chunks split both compare's finest path and Picard's
+    # streamed one into several draws; together they cover each
     # fine step once: compare's coarser levels and Picard's later
     # iterates draw nothing.
     from dosde import cli, paths
@@ -814,3 +804,101 @@ def test_each_fine_normal_is_drawn_once(name, fine_steps, tmp_path, monkeypatch)
     command, text = _GOLDEN_RUNS[name]
     assert cli.main([command, _write(tmp_path, text), "--out", str(tmp_path / "out")]) == 0
     assert sorted(drawn) == list(range(fine_steps))
+
+
+@pytest.mark.parametrize("model", [
+    "model.name = ou\nmodel.kappa = nan\n",
+    "model.name = gbm_clipped\nmodel.clip = nan\n",
+    "model.name = gbm_clipped\nmodel.mu = inf\n",
+    "model.name = linear_lowrank\nmodel.lambdas = [nan, -1.0]\n",
+])
+def test_a_non_finite_model_parameter_is_a_config_error(model, tmp_path, capsys):
+    from dosde import cli
+
+    text = model + "run.dim = 4\nrun.rank = 2\nrun.n_atoms = 8\nrun.t_end = 0.1\nrun.dt = 0.05\n"
+    assert cli.main(["simulate", _write(tmp_path, text), "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "picard-demo", "explosion-study"])
+def test_a_rank_above_the_atom_count_is_a_config_error(command, tmp_path, capsys):
+    from dosde import cli
+
+    text = ("model.name = ou\nrun.dim = 4\nrun.rank = 3\nrun.n_atoms = 2\n"
+            "run.t_end = 0.1\nrun.dt = 0.05\n")
+    assert cli.main([command, _write(tmp_path, text), "--out", str(tmp_path / "out")]) == 2
+    assert "need at least R atoms" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("harness", ["harness.n_atoms = 2\n", "harness.dim = 2\n"])
+def test_a_harness_rank_above_its_sizes_is_a_config_error(harness, tmp_path, capsys):
+    from dosde import cli
+
+    text = "model.name = ou\nharness.rank = 3\nharness.n_trials = 2\n" + harness
+    out = str(tmp_path / "out")
+    assert cli.main(["lipschitz-harness", _write(tmp_path, text), "--out", out]) == 2
+    assert "harness.rank" in capsys.readouterr().err
+
+
+# Half the draws are admissible for every builtin parameter.
+_FUZZ_PARAMS = st.one_of(
+    st.sampled_from([0.5, 2.0]),
+    st.sampled_from([-1.0, 0.0, math.nan, math.inf, -math.inf]),
+)
+
+
+@st.composite
+def _tiny_configs(draw):
+    """A command and a config of at most 5 atoms, dims and ranks, two
+    steps, whose model parameters may be negative, zero or non-finite."""
+    from dosde import cli
+    from dosde.models import PARAM_NAMES
+
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    name = draw(st.sampled_from(sorted(PARAM_NAMES)))
+    lines = ["model.name = %s" % name]
+    for key in PARAM_NAMES[name]:
+        if key == "d" or not draw(st.booleans()):
+            continue
+        if key in ("lambdas", "sigma_b") and draw(st.booleans()):
+            values = draw(st.lists(_FUZZ_PARAMS, min_size=1, max_size=3))
+            lines.append("model.%s = [%s]" % (key, ", ".join(map(repr, values))))
+        else:
+            lines.append("model.%s = %r" % (key, draw(_FUZZ_PARAMS)))
+    sizes = st.integers(min_value=1, max_value=5)
+    keys = ["run.n_atoms", "run.rank", "run.dim"]
+    # Every command validates the harness sizes; only the harness is
+    # given fuzzed ones, so the other commands mostly run.
+    if command == "lipschitz-harness":
+        keys += ["harness.n_atoms", "harness.rank", "harness.dim"]
+    for key in keys:
+        lines.append("%s = %d" % (key, draw(sizes)))
+    dt = draw(st.sampled_from([0.05] * 6 + [-0.05, math.nan]))
+    lines += [
+        "run.scheme = %s" % draw(st.sampled_from(["do", "reference", "ambient"])),
+        "compare.scheme_b = %s" % draw(st.sampled_from(["do", "reference", "ambient"])),
+        "run.dt = %r" % dt,
+        "run.t_end = %r" % (2 * dt),
+        "compare.levels = %d" % draw(st.integers(min_value=1, max_value=2)),
+        "picard.grid = %d" % draw(st.integers(min_value=1, max_value=4)),
+        "picard.n_iters = %d" % draw(st.integers(min_value=1, max_value=3)),
+        "harness.n_trials = %d" % draw(st.integers(min_value=1, max_value=2)),
+    ]
+    return command, "\n".join(lines) + "\n"
+
+
+@given(_tiny_configs())
+@settings(max_examples=300, deadline=None)
+def test_every_command_exits_with_a_documented_code(case):
+    # 0 success, 2 config error, 3 numerical failure: no other code and
+    # no traceback, whatever the sizes and parameters.
+    import tempfile
+
+    from dosde import cli
+
+    command, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert cli.main([command, cfg, "--out", os.path.join(tmp, "out")]) in (0, 2, 3)

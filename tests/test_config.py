@@ -86,6 +86,8 @@ def test_missing_model_name():
         ({"model_params": {"bogus": 1.0}}, "model.bogus"),
         ({"compare_scheme_b": "x"}, "compare.scheme_b"),
         ({"sv_tolerance": 0.0}, "monitor.sv_tolerance"),
+        ({"harness_rank": 4, "harness_atoms": 3}, "harness.rank"),
+        ({"harness_rank": 4, "harness_dim": 3}, "harness.rank"),
     ],
 )
 def test_validate_flags_field(mutation, field):

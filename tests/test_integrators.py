@@ -63,7 +63,7 @@ def _ou_state(N=64, d=3, seed=0):
 def test_reference_step_matches_hand_euler():
     # independent reimplementation of the same update
     model, state = _ou_state()
-    dW = paths.generate(11, 1, 0.01, 64, model.m).increments[0]
+    dW = paths.generate(11, 1, 0.01, 64, model.m).increment(0)
     new, _ = step_reference(model, state, dW, 0.01)
     hand = state.X + (-1.5 * state.X) * 0.01 + 0.4 * dW
     assert np.allclose(new.X, hand, atol=1e-15)
@@ -88,7 +88,7 @@ def test_do_step_retraction_invariants():
     model = builtin("additive_floor")
     init = default_initial(model, N=128, R=1, seed=3)
     state = DoState(t=0.0, U=init.U, Y=init.Y)
-    dW = paths.generate(4, 1, 0.01, 128, model.m).increments[0]
+    dW = paths.generate(4, 1, 0.01, 128, model.m).increment(0)
     new, rep = step_do(model, state, dW, 0.01)
     # rows stay orthonormal after retraction
     assert np.linalg.norm(new.U @ new.U.T - np.eye(1)) < 1e-14
@@ -104,7 +104,7 @@ def test_do_gauge_defect_quadratic_in_dt():
     state = DoState(t=0.0, U=init.U, Y=init.Y)
     defects = []
     for dt in (0.02, 0.01, 0.005):
-        dW = paths.generate(4, 1, dt, 128, model.m).increments[0]
+        dW = paths.generate(4, 1, dt, 128, model.m).increment(0)
         _, rep = step_do(model, state, dW, dt)
         defects.append(rep.gauge_defect)
     assert defects[0] / defects[1] == pytest.approx(4.0, rel=0.05)
@@ -116,7 +116,7 @@ def test_do_step_product_survives_retraction():
     model = builtin("ou", kappa=1.0, sigma=0.5, d=4)
     init = default_initial(model, N=64, R=2, seed=1)
     state = DoState(t=0.0, U=init.U, Y=init.Y)
-    dW = paths.generate(8, 1, 0.01, 64, model.m).increments[0]
+    dW = paths.generate(8, 1, 0.01, 64, model.m).increment(0)
 
     # recompute the unretracted update by hand
     X = state.Y @ state.U
@@ -301,7 +301,7 @@ def test_diagonal_reference_step_builds_no_matrix_stack():
     N, d = 2048, 32
     model = builtin("gbm_clipped", d=d)
     state = FullState(t=0.0, X=np.random.default_rng(0).standard_normal((N, d)))
-    dW = paths.generate(0, 1, 1e-3, N, model.m).increments[0]
+    dW = paths.generate(0, 1, 1e-3, N, model.m).increment(0)
     tracemalloc.start()
     try:
         step_reference(model, state, dW, 1e-3)
@@ -345,7 +345,7 @@ def test_do_step_retraction_properties(case):
     init = default_initial(model, N, R, seed=seed)
     state = DoState(t=0.0, U=init.U, Y=init.Y)
     dt = 0.01
-    dW = paths.generate(seed, 1, dt, N, model.m).increments[0]
+    dW = paths.generate(seed, 1, dt, N, model.m).increment(0)
     U, Y = state.U, state.Y
     X = Y @ U
     a = model.drift(0.0, X)
@@ -397,7 +397,7 @@ def test_noise_forms_match_the_dense_oracle(case):
     X = Y @ U
     dt = 0.01
     path = paths.generate(seed, 3, dt, N, model.m)
-    dW = path.increments[0]
+    dW = path.increment(0)
 
     new, _ = step_reference(model, FullState(t=0.0, X=X), dW, dt)
     hand = X + model.drift(0.0, X) * dt + np.matmul(_dense_b(model, X), dW[..., None])[..., 0]

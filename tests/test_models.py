@@ -32,6 +32,23 @@ def test_bad_params_rejected():
         builtin("mode_crossing", t_star=0.0)
 
 
+@pytest.mark.parametrize("name, params", [
+    ("ou", {"kappa": math.nan}),
+    ("ou", {"sigma": math.inf}),
+    ("linear_lowrank", {"lambdas": (math.nan, -1.0)}),
+    ("linear_lowrank", {"sigma_b": (0.5, -math.inf)}),
+    ("gbm_clipped", {"clip": math.nan}),
+    ("gbm_clipped", {"mu": math.inf}),
+    ("mode_crossing", {"t_star": -math.inf}),
+    ("additive_floor", {"alpha": math.nan}),
+    ("additive_floor", {"sigma": "0.5"}),
+])
+def test_non_finite_parameters_rejected(name, params):
+    key = next(iter(params))
+    with pytest.raises(BadParams, match="%s: %s must be finite reals" % (name, key)):
+        builtin(name, **params)
+
+
 def test_every_builtin_has_consistent_shapes():
     rng = np.random.default_rng(0)
     for name in ALL_NAMES:
@@ -165,6 +182,13 @@ def test_default_initial_mode_crossing_plant():
     assert float(np.mean(init.Y[:, 0] ** 2)) == pytest.approx(1.0, rel=1e-13)
     with pytest.raises(BadParams):
         default_initial(model, N=64, R=3, seed=0)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_default_initial_needs_at_least_R_atoms(name):
+    model = builtin(name, d=4)
+    with pytest.raises(BadParams, match="need at least R atoms"):
+        default_initial(model, N=2, R=3, seed=0)
 
 
 def test_default_initial_linear_lowrank_needs_matching_rank():

@@ -1,5 +1,5 @@
 """Counter-based Brownian increments: determinism, refinement, statistics,
-and the streamed path (bounded chunks, the same bits as the whole tensor)."""
+and the streamed path (bounded windows, the same bits as the whole tensor)."""
 
 import hashlib
 import math
@@ -14,28 +14,33 @@ from hypothesis import strategies as st
 
 from dosde import paths
 from dosde.cli import _log_simd
-from dosde.errors import OverflowingDims
 from dosde.integrators import integrate
 from dosde.models import builtin, default_initial
 
 
+def _streamed(path):
+    """Every step of ``path``, read in order through ``increment``; each
+    is copied before the next read can refill the window it views."""
+    return np.stack([path.increment(k).copy() for k in range(path.n_steps)])
+
+
 def test_shapes_and_dtype():
     p = paths.generate(1, 10, 0.25, 8, 3)
-    assert p.increments.shape == (10, 8, 3)
-    assert p.increments.dtype == np.float64
+    assert p.increment(9).shape == (8, 3)
+    assert p.increment(9).dtype == np.float64
     assert p.n_steps == 10 and p.N == 8 and p.m == 3 and p.dt == 0.25
 
 
 def test_same_key_same_bytes():
     a = paths.generate(42, 16, 0.5, 32, 2)
     b = paths.generate(42, 16, 0.5, 32, 2)
-    assert np.array_equal(a.increments, b.increments)
+    assert np.array_equal(_streamed(a), _streamed(b))
 
 
 def test_different_seeds_differ():
     a = paths.generate(1, 4, 0.1, 16, 1)
     b = paths.generate(2, 4, 0.1, 16, 1)
-    assert not np.array_equal(a.increments, b.increments)
+    assert not np.array_equal(_streamed(a), _streamed(b))
 
 
 def test_steps_are_independent_counters():
@@ -43,37 +48,30 @@ def test_steps_are_independent_counters():
     # longer path coincide with a shorter one.
     long = paths.generate(9, 12, 0.1, 8, 2)
     short = paths.generate(9, 4, 0.1, 8, 2)
-    assert np.array_equal(long.increments[:4], short.increments)
+    assert np.array_equal(_streamed(long)[:4], _streamed(short))
 
 
 def test_dyadic_refinement_is_consistent():
     # Coarse increments equal the pairwise sums of the next-finer level,
     # bit for bit, so a dt-halving study reuses one notional path.
     coarse = paths.generate(7, 8, 0.2, 16, 2, level=1)
-    fine = paths.generate(7, 16, 0.1, 16, 2, level=0)
-    summed = fine.increments[0::2] + fine.increments[1::2]
-    assert np.array_equal(coarse.increments, summed)
+    fine = _streamed(paths.generate(7, 16, 0.1, 16, 2, level=0))
+    assert np.array_equal(_streamed(coarse), fine[0::2] + fine[1::2])
 
 
 def test_two_level_refinement():
     top = paths.generate(7, 4, 0.4, 8, 1, level=2)
-    mid = paths.generate(7, 8, 0.2, 8, 1, level=1)
-    assert np.array_equal(top.increments, mid.increments[0::2] + mid.increments[1::2])
+    mid = _streamed(paths.generate(7, 8, 0.2, 8, 1, level=1))
+    assert np.array_equal(_streamed(top), mid[0::2] + mid[1::2])
 
 
 def test_variance_scales_with_dt():
     p = paths.generate(3, 200, 0.01, 512, 2)
-    z = p.increments / math.sqrt(0.01)
+    z = _streamed(p) / math.sqrt(0.01)
     assert abs(float(z.mean())) < 0.01
     assert abs(float(z.var()) - 1.0) < 0.01
     # extreme quantiles present but sane for a Gaussian sample
     assert 4.0 < float(np.abs(z).max()) < 8.0
-
-
-def test_budget_guard():
-    # generate draws nothing; the cap guards materialising the tensor.
-    with pytest.raises(OverflowingDims):
-        paths.generate(0, 1 << 20, 1e-3, 1 << 10, 1 << 10).increments
 
 
 def test_rejects_bad_arguments():
@@ -181,11 +179,8 @@ def test_streamed_increments_match_the_whole_tensor(case, dt):
             dW = path.increment(k)
             assert dW.shape == (N, m) and not dW.flags.writeable
             assert dW.tobytes() == oracle[k].tobytes(), k
-        assert path.increments.tobytes() == oracle.tobytes()
-        # Once materialised, increment(k) reads the kept tensor.
-        assert path.increment(n_steps - 1).tobytes() == oracle[-1].tobytes()
         fresh = paths.generate(seed, n_steps, dt, N, m, level=level)
-        assert fresh.increments.tobytes() == oracle.tobytes()
+        assert _streamed(fresh).tobytes() == oracle.tobytes()
 
 
 def test_increment_rejects_steps_outside_the_path():
@@ -197,14 +192,14 @@ def test_increment_rejects_steps_outside_the_path():
 
 def test_coarsened_equals_the_next_level():
     # One pass or several: coarsen's pair sums are the next levels' bits.
-    fine = paths.generate(5, 24, 0.025, 9, 3).increments
+    fine = _streamed(paths.generate(5, 24, 0.025, 9, 3))
     for passes in (1, 2, 3):
         coarse = paths.coarsen(fine, np.empty((24 >> passes, 9, 3)))
         direct = paths.generate(5, 24 >> passes, 0.025 * (1 << passes), 9, 3, level=passes)
-        assert coarse.tobytes() == direct.increments.tobytes()
-    half = paths.generate(5, 12, 0.05, 9, 3, level=1).increments
+        assert coarse.tobytes() == _streamed(direct).tobytes()
+    half = _streamed(paths.generate(5, 12, 0.05, 9, 3, level=1))
     coarse = paths.coarsen(half, np.empty((6, 9, 3)))
-    assert coarse.tobytes() == paths.generate(5, 6, 0.1, 9, 3, level=2).increments.tobytes()
+    assert coarse.tobytes() == _streamed(paths.generate(5, 6, 0.1, 9, 3, level=2)).tobytes()
 
 
 @pytest.mark.parametrize("n_steps", [2, 6, 24, 40])
@@ -224,15 +219,58 @@ def test_coarsened_ladder_equals_each_level(n_steps, monkeypatch):
                 assert held.increment(k).tobytes() == path.increment(k).tobytes()
             for k in (start << lvl) - 1, stop << lvl:
                 if 0 <= k < held.n_steps:
-                    with pytest.raises(ValueError):
+                    with pytest.raises(IndexError):
                         held.increment(k)
         start = stop
     assert start == n_steps
 
 
+def test_a_held_path_refuses_outside_steps_and_keeps_its_window(monkeypatch):
+    # Windows of two level-0 steps.  Asked twice for a step outside its
+    # window, a held path refuses twice, and its window keeps its bits.
+    N, m, levels = 3, 2, 2
+    monkeypatch.setattr(paths, "_CHUNK_ELEMENTS", (2 * N * m) << (levels - 1))
+    oracle = [_whole_tensor(5, 6 << lvl, 0.1 / (1 << lvl), N, m, levels - 1 - lvl)
+              for lvl in range(levels)]
+    start = 0
+    for stop, ladder in paths.lockstep(5, 6, 0.1, N, m, levels):
+        assert stop - start == 2
+        for lvl, held in enumerate(ladder):
+            outside = {k for k in ((start << lvl) - 1, stop << lvl, (6 << lvl) - 1)
+                       if 0 <= k < held.n_steps and not start << lvl <= k < stop << lvl}
+            for k in sorted(outside):
+                for _ in range(2):
+                    with pytest.raises(IndexError):
+                        held.increment(k)
+            for k in range(start << lvl, stop << lvl):
+                assert held.increment(k).tobytes() == oracle[lvl][k].tobytes(), (lvl, k)
+        start = stop
+
+
+def test_an_interrupted_fill_leaves_no_stale_window(monkeypatch):
+    # Two steps per chunk: step 2's fill is cut off, and the retry draws
+    # it again rather than serving the buffer's old steps.
+    N, m = 4, 2
+    monkeypatch.setattr(paths, "_CHUNK_ELEMENTS", 2 * N * m)
+    oracle = _whole_tensor(3, 6, 0.1, N, m, 0)
+    path = paths.generate(3, 6, 0.1, N, m)
+    assert path.increment(0).tobytes() == oracle[0].tobytes()
+    draw = paths._draw_normals
+
+    def interrupted(seed, first_step, out, scale):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(paths, "_draw_normals", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        path.increment(2)
+    monkeypatch.setattr(paths, "_draw_normals", draw)
+    for k in (2, 3, 0, 5):
+        assert path.increment(k).tobytes() == oracle[k].tobytes(), k
+
+
 def test_coarsened_allocates_no_second_tensor():
     # One pass adds into ``out`` through numpy's fixed-size ufunc buffers.
-    fine = paths.generate(9, 256, 0.01, 256, 8).increments
+    fine = _streamed(paths.generate(9, 256, 0.01, 256, 8))
     out = np.empty((128, 256, 8))
     tracemalloc.start()
     try:
@@ -264,7 +302,8 @@ def test_lockstep_draws_each_finest_normal_once(levels, chunk, width, span, monk
     assert drawn == list(range(7 << (levels - 1)))
 
 
-# SHA-256 of ``increments`` recorded with the whole-tensor generator.
+# SHA-256 of the (n_steps, N, m) increments, recorded with the
+# whole-tensor generator.
 # The last two shapes cross chunk boundaries at the default budget.
 # Tail normals go through np.log, so the digests hold for numpy's
 # float64 log dispatch target they were recorded on.
@@ -282,13 +321,11 @@ _GOLDEN = {
 
 @pytest.mark.parametrize("key", list(_GOLDEN), ids=lambda k: "x".join(map(str, k[1:])))
 def test_increments_match_golden_bits(key):
-    path = paths.generate(*key)
-    streamed = b"".join(path.increment(k).tobytes() for k in range(path.n_steps))
-    whole = paths.generate(*key).increments.tobytes()
-    assert streamed == whole
+    streamed = _streamed(paths.generate(*key)).tobytes()
+    assert streamed == _whole_tensor(*key).tobytes()
     if _log_simd() != _GOLDEN_LOG_SIMD:
         pytest.skip("path digests were recorded with numpy's %s log" % _GOLDEN_LOG_SIMD)
-    assert hashlib.sha256(whole).hexdigest() == _GOLDEN[key]
+    assert hashlib.sha256(streamed).hexdigest() == _GOLDEN[key]
 
 
 # SHA-256 of the level-0 increments whose uniform is central
@@ -308,18 +345,17 @@ def test_central_increments_match_golden_bits(key):
     seed, n_steps, _, N, m, _ = key
     u = np.stack([_uniforms(seed, s, N * m) for s in range(n_steps)])
     central = np.abs(u - 0.5) <= 0.425
-    x = paths.generate(*key).increments.reshape(n_steps, N * m)
+    x = _streamed(paths.generate(*key)).reshape(n_steps, N * m)
     assert hashlib.sha256(x[central].tobytes()).hexdigest() == _GOLDEN_CENTRAL[key]
 
 
 def test_integrate_streams_past_the_materialisation_cap():
-    # The whole tensor (2^20 steps x 16 atoms x 16 channels) is twice
-    # MAX_ELEMENTS; a 10-step run only draws the chunks it reaches.
+    # The whole tensor (2^20 steps x 16 atoms x 16 channels) would take
+    # 2 GiB; a 10-step run only draws the chunk it reaches, with the bits
+    # of a path sized to the run.
     model = builtin("ou", kappa=1.0, sigma=0.5, d=16)
     init = default_initial(model, 16, 2, seed=0)
     long = paths.generate(4, 1 << 20, 1e-2, 16, model.m)
-    with pytest.raises(OverflowingDims):
-        long.increments
     traj = integrate(model, init, "do", 0.1, 1e-2, long)
     short = integrate(model, init, "do", 0.1, 1e-2, paths.generate(4, 10, 1e-2, 16, model.m))
     assert traj.completed and len(traj.diag) == 10

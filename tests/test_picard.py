@@ -44,7 +44,8 @@ def test_first_sweep_matches_hand_integral():
     P = U0.T @ np.linalg.inv(U0 @ U0.T) @ U0
     dU = rep.inverse @ (G - G @ P)
     drift_inc = (a0 @ U0.T) * h
-    noise = np.matmul(np.matmul(U0, b0), path.increments[..., :, None])[..., 0]
+    dW = np.stack([path.increment(k).copy() for k in range(path.n_steps)])
+    noise = np.matmul(np.matmul(U0, b0), dW[..., :, None])[..., 0]
     expect = Y0.copy()
     for j in range(1, path.n_steps + 1):
         prefix = paths.generate(path.seed, j, h, path.N, path.m)
@@ -154,7 +155,7 @@ def _sweep_oracle(model, U0, Y0, path, n_iters):
                 ) from err
             dU[j] = rep.inverse @ (G - G @ P)
             dY_drift[j] = aj @ Uj.T
-            dY_noise[j] = _noise(model, bj, path.increments[j], Uj)
+            dY_noise[j] = _noise(model, bj, path.increment(j), Uj)
         U_new = np.concatenate([U0[None], U0[None] + np.cumsum(dU * h, axis=0)])
         incr = dY_drift * h + dY_noise
         Y_new = np.concatenate([Y0[None], Y0[None] + np.cumsum(incr, axis=0)])
