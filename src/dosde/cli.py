@@ -1,9 +1,10 @@
 """Command-line harness: simulate, compare, picard-demo, lipschitz-harness,
 explosion-study, plus a --self-test invariant suite.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure (including a
-run that stopped before t_end; its outputs are still written), 4
-self-test failure.  All CSV output uses 17 significant digits, so reruns
+Exit codes: 0 success, 2 config error (also sizes that cannot be
+allocated: a MemoryError), 3 numerical failure (including a run that
+stopped before t_end; its outputs are still written), 4 self-test
+failure.  All CSV output uses 17 significant digits, so reruns
 of the same config are byte-identical; the wall-time and peak-RSS lines
 live only in manifest.txt.
 """
@@ -540,7 +541,7 @@ def main(argv=None):
     except (ParseError, ValidationError, UnknownModel, BadParams) as err:
         print("config error: %s" % err, file=sys.stderr)
         return 2
-    except FileNotFoundError as err:
+    except (FileNotFoundError, MemoryError) as err:
         print("config error: %s" % err, file=sys.stderr)
         return 2
     except DosdeError as err:

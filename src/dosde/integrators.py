@@ -8,6 +8,8 @@ one contract, ``step(model, state, dW, dt) -> (state, StepReport)``:
                        Euler plus QR retraction for the basis, with the
                        triangular factor folded back into Y so the
                        product U^T Y is untouched by the retraction;
+                       the N x d ensemble X = Y U is never formed whole
+                       (``_atom_terms``);
 - ``step_ambient_dlra`` parametrization-free form: projectors are rebuilt
                        from E[X X^T] every step and applied to the full
                        state directly (its rank ``R`` is a keyword).
@@ -127,6 +129,35 @@ def _noise(model, b, dW, U=None):
     return np.matmul(B, dW[..., :, None])[..., 0]
 
 
+def _atom_terms(model, t, U, Y, dW):
+    """The per-atom terms of the factored equations at (t, U, Y) with
+    X = Y U: the coefficient drift a(t, X) U^T and noise U b(t, X) dW,
+    each N x R, and E[Y a^T], R x d.
+
+    X, a and b exist one block of atoms at a time, the blocks of
+    ``kernels.mean_outer_walk``, and the model is evaluated on each; so
+    the terms need O(N R + block d) values besides the N x m increment
+    dW, and no N x d array.  a U^T is taken on the drift as the model
+    returns it, and E[Y a^T] has ``kernels.mean_outer(Y, a)``'s bits.
+    When N fits one block every term has the whole-array bits; across
+    blocks BLAS may pick another kernel for another row count and round
+    a block's Y U or a U^T differently in the last bit.
+    """
+    N, R = Y.shape
+    aU = np.empty((N, R))
+    noise = np.empty((N, R))
+
+    def block(rows):
+        X = Y[rows] @ U
+        a = model.drift(t, X)
+        aU[rows] = a @ U.T
+        noise[rows] = _noise(model, model.diffusion(t, X), dW[rows], U)
+        return a
+
+    G = kernels.mean_outer_walk(Y, U.shape[1], block)
+    return aU, noise, G
+
+
 def step_reference(model, state, dW, dt):
     """One EM step of the full ensemble; atoms evolve independently."""
     X = state.X
@@ -160,7 +191,8 @@ def step_do(model, state, dW, dt):
 
     Order of operations (everything frozen at the left endpoint):
 
-    1. reconstruct X = U^T Y per atom and evaluate coefficients;
+    1. reconstruct X = U^T Y per atom and evaluate coefficients, a block
+       of atoms at a time (``_atom_terms``: no N x d array is built);
     2. EM for the coefficients: Y+ = Y + (U a) dt + (U b) dW;
     3. explicit Euler for the basis: Udot = C^-1 E[Y a^T] (I - U^T U);
     4. retract U+ = qr(U + dt Udot) and fold the triangular factor into
@@ -181,12 +213,8 @@ def step_do(model, state, dW, dt):
             % (state.t, rep.lambda_min),
             report=rep,
         )
-    X = Y @ U
-    a = model.drift(state.t, X)
-    b = model.diffusion(state.t, X)
-    Y1 = Y + (a @ U.T) * dt + _noise(model, b, dW, U)
-
-    G = kernels.mean_outer(Y, a)  # E[Y a^T], R x d
+    aU, noise, G = _atom_terms(model, state.t, U, Y, dW)
+    Y1 = Y + aU * dt + noise
     Udot = rep.inverse @ (G - (G @ U.T) @ U)
     U_raw = U + dt * Udot
     ortho_defect = float(np.linalg.norm(U_raw @ U_raw.T - np.eye(R)))

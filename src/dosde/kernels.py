@@ -14,7 +14,9 @@ the atoms into aligned leaves of ``_LEAF`` atoms, reduces each leaf with
 one BLAS product and sums the leaf results with the pairwise tree: its
 bits are the same across reruns and BLAS thread counts (OpenBLAS splits
 a product over output entries, not over the summed axis), but may change
-with the CPU kernel OpenBLAS selects.
+with the CPU kernel OpenBLAS selects.  ``mean_outer_walk`` is the same
+reduction for an ensemble that is made a block of whole leaves at a
+time and never held whole.
 
 The second half of the module collects the closed-form scalar bounds
 used by the well-posedness and explosion machinery: the invertibility
@@ -44,16 +46,20 @@ EPS_RANK = 1e-10
 # partition, and with it the summation order, depends only on N.
 _LEAF = 256
 
+# Values a block of ``mean_outer_walk`` holds (512 KiB of float64);
+# ``paths`` streams its Brownian chunks in the same budget.
+_BLOCK_VALUES = 1 << 16
 
-def pairwise_sum(values, axis=0):
-    """Sum along ``axis`` with a fixed-shape pairwise tree.
+
+def pairwise_sum(values):
+    """Sum along axis 0 with a fixed-shape pairwise tree.
 
     Adjacent elements are paired level by level, an odd last element
     carried up unchanged, so the reduction order depends only on the
     axis length.  Bit-identical results regardless of threading or
     chunking, and better rounding than a running sum.
     """
-    a = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    a = np.asarray(values, dtype=float)
     n = a.shape[0]
     if n == 0:
         raise InvalidEnsemble("cannot reduce an empty axis")
@@ -67,10 +73,10 @@ def pairwise_sum(values, axis=0):
     return a[0].copy()
 
 
-def ensemble_mean(values, axis=0):
-    """Expectation over atoms: pairwise sum divided by the atom count."""
+def ensemble_mean(values):
+    """Expectation over atoms (axis 0): pairwise sum divided by the atom count."""
     a = np.asarray(values, dtype=float)
-    return pairwise_sum(a, axis=axis) / a.shape[axis]
+    return pairwise_sum(a) / a.shape[0]
 
 
 def mean_outer(A, B):
@@ -94,9 +100,37 @@ def mean_outer(A, B):
     if n == 0:
         raise InvalidEnsemble("cannot reduce an empty axis")
     leaves = np.empty((-(-n // _LEAF), A.shape[1], B.shape[1]))
-    for i, s in enumerate(range(0, n, _LEAF)):
-        np.matmul(A[s : s + _LEAF].T, B[s : s + _LEAF], out=leaves[i])
+    _leaf_products(A, B, leaves)
     return pairwise_sum(leaves) / n
+
+
+def mean_outer_walk(A, q, block):
+    """E[A B^T] for an ensemble B (N x q) that is made one block of atoms
+    at a time and never held whole: ``block(rows)`` returns B[rows] for a
+    slice ``rows`` of the atoms, called in atom order.
+
+    A block is a run of whole leaves holding about ``_BLOCK_VALUES``
+    values of B, and at least one leaf.  Each block's leaf products go
+    into the leaf array ``mean_outer(A, B)`` builds, on C-contiguous
+    copies as there, and the same ``pairwise_sum`` tree adds them, so the
+    result has ``mean_outer(A, B)``'s bits.
+    """
+    A = np.ascontiguousarray(A, dtype=float)
+    n = A.shape[0]
+    leaves = np.empty((-(-n // _LEAF), A.shape[1], q))
+    span = max(1, _BLOCK_VALUES // (q * _LEAF)) * _LEAF
+    for s in range(0, n, span):
+        B = np.ascontiguousarray(block(slice(s, s + span)), dtype=float)
+        _leaf_products(A[s : s + span], B, leaves[s // _LEAF :])
+    return pairwise_sum(leaves) / n
+
+
+def _leaf_products(A, B, out):
+    """out[i] = A_i^T B_i for the i-th aligned leaf of ``_LEAF`` atoms of
+    the C-contiguous A and B (the last may be shorter): one BLAS product
+    per leaf."""
+    for i, s in enumerate(range(0, A.shape[0], _LEAF)):
+        np.matmul(A[s : s + _LEAF].T, B[s : s + _LEAF], out=out[i])
 
 
 def mean_sq_norm(A):

@@ -25,7 +25,9 @@ because both resolve the same finest grid.
 
 ``generate`` draws nothing.  ``BrownianPath.increment(k)`` streams:
 every step is served from one window of whole steps, about
-``_CHUNK_ELEMENTS`` fine normals, held in one reused buffer.  A plain
+``_CHUNK_ELEMENTS`` = 2^16 fine normals (512 KiB, the block budget of
+the factored step's atom walk in ``kernels``), held in one reused
+buffer, or one step when a step is larger.  A plain
 path refills the window with the chunk that holds k when k falls
 outside it; inside a chunk each step is coarsened in the same pairwise
 order as a whole tensor would be, so every increment has the same bits
@@ -48,11 +50,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .errors import InvalidEnsemble
 
-# Fine-grid normals drawn per streamed chunk, in float64 elements (2 MiB);
-# a chunk always holds at least one whole step.
-_CHUNK_ELEMENTS = 1 << 18
+# Fine-grid normals drawn per streamed chunk, in float64 elements; a
+# chunk always holds at least one whole step.
+_CHUNK_ELEMENTS = kernels._BLOCK_VALUES
 
 # Normals put through the central rational per pass: enough to amortise
 # numpy's per-call cost over its ~35 passes, few enough that its four

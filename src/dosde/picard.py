@@ -25,7 +25,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ShapeMismatch, SingularGram, SingularRowGram
-from .integrators import _noise
+from .integrators import _atom_terms
 
 
 @dataclass
@@ -145,21 +145,21 @@ def _same(a, b):
 def _panel(model, t, Uj, Yj, dW, n, j):
     """The left-point integrands at grid point j from iterate n - 1's
     value (Uj, Yj) there: dU/dt, the coefficient drift and the noise
-    increment of iterate n."""
+    increment of iterate n.
+
+    The model is evaluated on X = Yj Uj a block of atoms at a time
+    (``integrators._atom_terms``), so no N x d array is built."""
     rep = kernels.gram(Yj)
     if rep.inverse is None:
         raise SingularGram(
             "iterate %d left the admissible ball at grid point %d" % (n, j),
             report=rep,
         )
-    Xj = Yj @ Uj
-    aj = model.drift(t, Xj)
-    bj = model.diffusion(t, Xj)
-    G = kernels.mean_outer(Yj, aj)
+    aU, noise, G = _atom_terms(model, t, Uj, Yj, dW)
     try:
         P = kernels.projector_row(Uj)
     except SingularRowGram as err:
         raise SingularGram(
             "iterate %d has a singular row Gram at grid point %d" % (n, j)
         ) from err
-    return rep.inverse @ (G - G @ P), aj @ Uj.T, _noise(model, bj, dW, Uj)
+    return rep.inverse @ (G - G @ P), aU, noise

@@ -516,8 +516,8 @@ run.n_atoms = 64
 run.rank = 3
 run.seed = 4
 """),
-    # One level-0 step is 64 finest steps of 1024 atoms x 16 channels:
-    # four chunks of the finest path.
+    # One level-0 step is 64 finest steps of 1024 atoms x 16 channels,
+    # 2^20 normals, far more than a chunk: each window is one level-0 step.
     "compare-do-ambient-several-chunks-per-step": ("compare", """
 model.name = additive_floor
 run.dim = 16
@@ -574,6 +574,33 @@ run.dim = 4
 run.seed = 2
 harness.n_trials = 20
 """),
+    # 2 * 1024 + 100 atoms at d = 64: the factored step walks two whole
+    # blocks of 1024 atoms and a remainder.
+    "simulate-do-ou-several-blocks": ("simulate", """
+model.name = ou
+model.sigma = 0.5
+run.dim = 64
+run.scheme = do
+run.t_end = 0.03
+run.dt = 0.01
+run.n_atoms = 2148
+run.rank = 4
+run.seed = 12
+run.record_stride = 3
+"""),
+    # 2348 atoms at d = 32: every panel walks a block of 2048 atoms and
+    # a remainder.
+    "picard-demo-several-blocks": ("picard-demo", """
+model.name = ou
+model.kappa = 0.25
+model.sigma = 0.25
+run.dim = 32
+run.n_atoms = 2348
+run.rank = 2
+run.seed = 13
+picard.n_iters = 3
+picard.grid = 4
+"""),
 }
 
 # These digests were recorded on OpenBLAS's SkylakeX kernel and numpy's
@@ -620,6 +647,10 @@ _GOLDEN_DIGESTS = {
         "picard.csv":
             "e95aa7de0877742329c9ee9eba63b3f6337c861303cef235a3a8b2e58aac9478",
     },
+    "picard-demo-several-blocks": {
+        "picard.csv":
+            "12f2ca8be452f908cf83a4036dfc1287ef39d7d88554e6e0e7519b742344b14f",
+    },
     "simulate-ambient-additive_floor": {
         "diagnostics.csv":
             "dc99ee43d7095b507f795e3e3fb90867832f15e2afbf1b6561e26eb0d985739b",
@@ -635,6 +666,18 @@ _GOLDEN_DIGESTS = {
             "c92fdddabe1920dcf57935adf13c41660cd728bd587a804260bc7a92984aaed7",
         "trajectory.csv":
             "db485653d805efe040fc84aa8822dfe09d2471b4a286f1acae7de8daef928801",
+    },
+    # Recorded after the block walk: a U^T on the 100-atom remainder
+    # block moved 2 of trajectory.csv's 17,696 values, by at most 7.6e-16
+    # relative (diagnostics.csv and events.csv kept the whole-array
+    # step's bytes).
+    "simulate-do-ou-several-blocks": {
+        "diagnostics.csv":
+            "c80386c35509b26372e9b6332e935ff397a1afbaa29ce58e98a8209d0db418b9",
+        "events.csv":
+            "c92fdddabe1920dcf57935adf13c41660cd728bd587a804260bc7a92984aaed7",
+        "trajectory.csv":
+            "8a79339db1d6e21064b1ec1c353a3cf0ead89418f3a5f69b3deaf58b0788e24f",
     },
     "simulate-reference-gbm_clipped": {
         "diagnostics.csv":
@@ -840,6 +883,18 @@ def test_a_harness_rank_above_its_sizes_is_a_config_error(harness, tmp_path, cap
     assert "harness.rank" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare", "picard-demo", "explosion-study"])
+def test_an_atom_count_that_cannot_be_allocated_is_a_config_error(command, tmp_path, capsys):
+    # 10^11 atoms fail at the first allocation (the initial datum), so
+    # nothing large is touched.
+    from dosde import cli
+
+    text = ("model.name = ou\nrun.dim = 4\nrun.rank = 2\nrun.n_atoms = 100000000000\n"
+            "run.t_end = 0.1\nrun.dt = 0.05\n")
+    assert cli.main([command, _write(tmp_path, text), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: Unable to allocate" in capsys.readouterr().err
+
+
 # Half the draws are admissible for every builtin parameter.
 _FUZZ_PARAMS = st.one_of(
     st.sampled_from([0.5, 2.0]),
@@ -850,7 +905,9 @@ _FUZZ_PARAMS = st.one_of(
 @st.composite
 def _tiny_configs(draw):
     """A command and a config of at most 5 atoms, dims and ranks, two
-    steps, whose model parameters may be negative, zero or non-finite."""
+    steps, whose model parameters may be negative, zero or non-finite;
+    or, oversize, 10^11 to 10^12 atoms, which fail at the first
+    allocation (no size in between, which would really allocate)."""
     from dosde import cli
     from dosde.models import PARAM_NAMES
 
@@ -871,8 +928,12 @@ def _tiny_configs(draw):
     # given fuzzed ones, so the other commands mostly run.
     if command == "lipschitz-harness":
         keys += ["harness.n_atoms", "harness.rank", "harness.dim"]
+    oversize = draw(st.integers(0, 9)) == 0
     for key in keys:
-        lines.append("%s = %d" % (key, draw(sizes)))
+        size = draw(sizes)
+        if key == "run.n_atoms" and oversize:
+            size = draw(st.integers(10**11, 10**12))
+        lines.append("%s = %d" % (key, size))
     dt = draw(st.sampled_from([0.05] * 6 + [-0.05, math.nan]))
     lines += [
         "run.scheme = %s" % draw(st.sampled_from(["do", "reference", "ambient"])),

@@ -22,6 +22,9 @@ from dosde.errors import (
 from dosde.integrators import (
     DoState,
     FullState,
+    _atom_terms,
+    _noise,
+    _qr_retract,
     integrate,
     step_ambient_dlra,
     step_do,
@@ -311,6 +314,22 @@ def test_diagonal_reference_step_builds_no_matrix_stack():
     assert peak < N * d * d * 8 / 4
 
 
+def test_a_do_run_builds_no_atoms_by_dimension_array():
+    # The whole-array step held X = Y U (16 MiB here) and mean_outer's
+    # contiguous copy of the broadcast drift (16 MiB more).
+    N, d = 16384, 128
+    model = builtin("mode_crossing", d=d)
+    init = default_initial(model, N, 2, seed=0)
+    path = paths.generate(0, 3, 0.01, N, model.m)
+    tracemalloc.start()
+    try:
+        integrate(model, init, "do", 0.03, 0.01, path, on_record=lambda state: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < N * d * 8 / 4
+
+
 def test_integrate_without_policy_halts_at_singularity():
     model = builtin("mode_crossing")
     init = default_initial(model, N=64, R=2, seed=0)
@@ -358,6 +377,67 @@ def test_do_step_retraction_properties(case):
     expect = Y_pre @ U_raw
     assert np.max(np.abs(new.Y @ new.U - expect)) <= 1e-12 * max(1.0, np.max(np.abs(expect)))
     assert rep.t == dt
+
+
+def _whole_step_do(model, state, dW, dt):
+    """The factored step on whole N x d arrays, as it was before the
+    block walk: X = Y U, a(X) and E[Y a^T] are formed at once.
+    Returns (U+, Y+, E[Y a^T])."""
+    U, Y = state.U, state.Y
+    X = Y @ U
+    a = model.drift(state.t, X)
+    Y1 = Y + (a @ U.T) * dt + _noise(model, model.diffusion(state.t, X), dW, U)
+    G = kernels.mean_outer(Y, a)
+    U1, Rtri = _qr_retract(U + dt * (kernels.gram(Y).inverse @ (G - (G @ U.T) @ U)))
+    return U1, Y1 @ Rtri.T, G
+
+
+def _block_atoms(d):
+    """Atoms per block of the walk at d values per atom."""
+    return max(1, kernels._BLOCK_VALUES // (d * kernels._LEAF)) * kernels._LEAF
+
+
+@st.composite
+def _walk_cases(draw):
+    """N from within one block up to three blocks and a remainder."""
+    name = draw(st.sampled_from(["ou", "additive_floor", "gbm_clipped"]))
+    d = draw(st.integers(1, 300))
+    R = draw(st.integers(1, min(d, 8)))
+    span = _block_atoms(d)
+    N = draw(st.integers(0, 3)) * span + draw(st.one_of(st.just(0), st.integers(1, span - 1)))
+    order = draw(st.sampled_from("CF"))
+    return builtin(name, d=d), max(N, R + 1), R, order, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_walk_cases())
+def test_the_block_walk_matches_the_whole_array_step(case):
+    model, N, R, order, seed = case
+    rng = np.random.default_rng(seed)
+    U = np.asarray(np.linalg.qr(rng.standard_normal((model.d, R)))[0].T, order=order)
+    state = DoState(t=0.0, U=U, Y=rng.standard_normal((N, R)))
+    dt = 0.01
+    dW = paths.generate(seed, 1, dt, N, model.m).increment(0)
+    U1, Y1, G = _whole_step_do(model, state, dW, dt)
+
+    blocks = []
+
+    def drift(t, x):
+        blocks.append(model.drift(t, x))
+        return blocks[-1]
+
+    _, _, G_walk = _atom_terms(dataclasses.replace(model, drift=drift), 0.0, U, state.Y, dW)
+    # mean_outer's leaves and tree, on the drift values the walk met
+    assert G_walk.tobytes() == kernels.mean_outer(state.Y, np.concatenate(blocks)).tobytes()
+    new, _ = step_do(model, state, dW, dt)
+    if N <= _block_atoms(model.d):
+        assert len(blocks) == 1
+        for got, want in ((new.U, U1), (new.Y, Y1), (G_walk, G)):
+            assert got.tobytes() == want.tobytes()
+    else:
+        # Across blocks BLAS may pick another kernel for Y U or a U^T.
+        for got, want in ((new.U, U1), (new.Y, Y1), (G_walk, G)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @st.composite
