@@ -1,12 +1,18 @@
 """Command-line harness: simulate, compare, picard-demo, lipschitz-harness,
 explosion-study, plus a --self-test invariant suite.
 
+Each ``cmd_*`` takes the config alone and returns (exit code, tables,
+model, run).  ``_execute`` times it, and only then writes every output:
+the tables, a run's trajectory, diagnostics and events, and manifest.txt
+last.  A command that raises leaves no output directory.
+
 Exit codes: 0 success, 2 config error (also sizes that cannot be
-allocated: a MemoryError), 3 numerical failure (including a run that
-stopped before t_end; its outputs are still written), 4 self-test
-failure.  All CSV output uses 17 significant digits, so reruns
-of the same config are byte-identical; the wall-time and peak-RSS lines
-live only in manifest.txt.
+allocated, a MemoryError, and an output directory that cannot be made,
+an OSError), 3 numerical failure (including a run that stopped before
+t_end; its outputs are still written), 4 self-test failure.  All CSV
+output uses 17 significant digits, so reruns of the same config are
+byte-identical; the wall-time and peak-RSS lines live only in
+manifest.txt.
 """
 
 import argparse
@@ -73,33 +79,11 @@ def _write_trajectory(path, traj):
                 arrays = (("X", state.X),)
             for kind, a in arrays:
                 row = "%.17g,%s,%%d,%%.17g\n" % (state.t, kind)
-                values = a.ravel().tolist()
+                values = a.ravel()
                 for start in range(0, len(values), _CSV_BLOCK_ROWS):
-                    part = values[start:start + _CSV_BLOCK_ROWS]
+                    part = values[start:start + _CSV_BLOCK_ROWS].tolist()
                     pairs = zip(range(start, start + len(part)), part)
                     fh.write(row * len(part) % tuple(chain.from_iterable(pairs)))
-
-
-def _write_run_outputs(out_dir, cfg, traj, wall_time, command, model):
-    os.makedirs(out_dir, exist_ok=True)
-    _write_trajectory(os.path.join(out_dir, "trajectory.csv"), traj)
-    _write_csv(
-        os.path.join(out_dir, "diagnostics.csv"),
-        "t,gauge_defect,ortho_defect,gram_inv_frobenius,lambda_min",
-        [
-            (r.t, r.gauge_defect, r.ortho_defect, r.gram_inv_frobenius, r.lambda_min)
-            for r in traj.diag
-        ],
-    )
-    _write_csv(
-        os.path.join(out_dir, "events.csv"),
-        "t,old_rank,new_rank,discarded_mass,inv_norm_at_event",
-        [
-            (e.t_event, e.old_rank, e.new_rank, e.discarded_mass, e.inv_norm_at_event)
-            for e in traj.events
-        ],
-    )
-    _write_manifest(out_dir, cfg, wall_time, command, traj, model)
 
 
 def _peak_rss_mb():
@@ -140,7 +124,7 @@ def _log_simd():
     return info.get("log", {}).get("dd", {}).get("current", "unknown")
 
 
-def _write_manifest(out_dir, cfg, wall_time, command, traj=None, model=None):
+def _write_manifest(out_dir, cfg, wall_time, command, traj, model):
     import numpy
 
     from .config import config_hash
@@ -211,11 +195,9 @@ def _run_simulation(cfg):
     return model, traj, policy
 
 
-def cmd_simulate(cfg, out_dir):
-    start = time.perf_counter()
+def cmd_simulate(cfg):
     model, traj, _ = _run_simulation(cfg)
-    _write_run_outputs(out_dir, cfg, traj, time.perf_counter() - start, "simulate", model)
-    return _exit_status(cfg.t_end, traj)
+    return _exit_status(cfg.t_end, traj), [], model, traj
 
 
 class _ComparedPair:
@@ -227,9 +209,8 @@ class _ComparedPair:
     second's, and a longer run's extra records go unpaired.  ``sup`` is
     the sup over paired records of their L2 distance, and ``scale`` the
     sup of the first scheme's ensemble L2 norm there.  A run that halted
-    is not advanced again; ``outcomes`` holds each run's last
-    trajectory, stripped to what ``_exit_status`` reads (scheme,
-    ``completed`` and the last event).
+    is not advanced again; ``outcomes`` holds each run's last window's
+    trajectory, for ``_exit_status``.
     """
 
     def __init__(self, cfg, model, initial, dt):
@@ -258,8 +239,6 @@ class _ComparedPair:
         self._run(1, self.cfg.compare_scheme_b, t_end, path, pair)
 
     def _run(self, i, scheme, t_end, path, record):
-        from dataclasses import replace
-
         from .integrators import integrate
 
         start = self.states[i]
@@ -281,7 +260,7 @@ class _ComparedPair:
         run = integrate(self.model, start, scheme, t_end, self.dt, path, R=self.cfg.rank,
                         on_record=on_record)
         self.states[i] = last if run.completed else None
-        self.outcomes[i] = replace(run, times=[], diag=[], events=run.events[-1:])
+        self.outcomes[i] = run
 
 
 # A sup error within this many machine epsilons of the ensemble's L2 norm
@@ -289,7 +268,7 @@ class _ComparedPair:
 _ROUNDOFF_EPS = 2**7
 
 
-def cmd_compare(cfg, out_dir):
+def cmd_compare(cfg):
     """Strong error of the first scheme against the second at
     ``compare.levels`` halvings of dt, on one nested Brownian path.
 
@@ -304,7 +283,6 @@ def cmd_compare(cfg, out_dir):
     from . import paths
     from .models import default_initial
 
-    start = time.perf_counter()
     model = _build_model(cfg)
     initial = default_initial(model, cfg.n_atoms, cfg.rank, seed=cfg.seed)
     levels = cfg.compare_levels
@@ -326,20 +304,17 @@ def cmd_compare(cfg, out_dir):
         if lvl > 0 and resolved[lvl - 1] and resolved[lvl]:
             rate = float(np.log2(sup_errors[lvl - 1] / sup))
         rows.append((lvl, cfg.dt / (1 << lvl), sup, rate))
-    os.makedirs(out_dir, exist_ok=True)
-    _write_csv(os.path.join(out_dir, "error_report.csv"), "level,dt,sup_error,rate_vs_prev", rows)
-    _write_manifest(out_dir, cfg, time.perf_counter() - start, "compare", model=model)
-    return _exit_status(cfg.t_end, *(run for pair in pairs for run in pair.outcomes))
+    code = _exit_status(cfg.t_end, *(run for pair in pairs for run in pair.outcomes))
+    return code, [("error_report.csv", "level,dt,sup_error,rate_vs_prev", rows)], model, None
 
 
-def cmd_picard_demo(cfg, out_dir):
+def cmd_picard_demo(cfg):
     import math
 
     from . import kernels, paths
     from .models import default_initial
     from .picard import picard_local_solve
 
-    start = time.perf_counter()
     model = _build_model(cfg)
     initial = default_initial(model, cfg.n_atoms, cfg.rank, seed=cfg.seed)
     rep = kernels.gram(initial.Y)
@@ -353,20 +328,13 @@ def cmd_picard_demo(cfg, out_dir):
         prev = result.sup_differences[i - 2] if i >= 2 else float("nan")
         ratio = dlt / prev if i >= 2 and prev > 0 else float("nan")
         rows.append((i, dlt, ratio, result.sup_U_sq[i], result.exp_sup_Y_sq[i]))
-    os.makedirs(out_dir, exist_ok=True)
-    _write_csv(
-        os.path.join(out_dir, "picard.csv"),
-        "iter,sup_difference,ratio_vs_prev,sup_U_sq,exp_sup_Y_sq",
-        rows,
-    )
-    _write_manifest(out_dir, cfg, time.perf_counter() - start, "picard-demo", model=model)
-    return 0
+    header = "iter,sup_difference,ratio_vs_prev,sup_U_sq,exp_sup_Y_sq"
+    return 0, [("picard.csv", header, rows)], model, None
 
 
-def cmd_lipschitz_harness(cfg, out_dir):
+def cmd_lipschitz_harness(cfg):
     from .diagnostics import projector_lipschitz_harness
 
-    start = time.perf_counter()
     report = projector_lipschitz_harness(
         n_trials=cfg.harness_trials,
         N=cfg.harness_atoms,
@@ -374,40 +342,26 @@ def cmd_lipschitz_harness(cfg, out_dir):
         R=cfg.harness_rank,
         seed=cfg.seed,
     )
-    os.makedirs(out_dir, exist_ok=True)
-    _write_csv(
-        os.path.join(out_dir, "harness.csv"),
-        "n_trials,max_ratio_U,max_ratio_V,max_ratio_combined",
-        [(report.n_trials, report.max_ratio_U, report.max_ratio_V, report.max_ratio_combined)],
-    )
-    _write_manifest(out_dir, cfg, time.perf_counter() - start, "lipschitz-harness")
-    if max(report.max_ratio_U, report.max_ratio_V, report.max_ratio_combined) > 1.0 + 1e-12:
+    ratios = (report.max_ratio_U, report.max_ratio_V, report.max_ratio_combined)
+    table = ("harness.csv", "n_trials,max_ratio_U,max_ratio_V,max_ratio_combined",
+             [(report.n_trials, *ratios)])
+    if max(ratios) > 1.0 + 1e-12:
         print("numerical failure: projector perturbation bound exceeded", file=sys.stderr)
-        return 3
-    return 0
+        return 3, [table], None, None
+    return 0, [table], None, None
 
 
-def cmd_explosion_study(cfg, out_dir):
-    start = time.perf_counter()
+def cmd_explosion_study(cfg):
     model, traj, policy = _run_simulation(cfg)
     # The rank events are the explosion record; the first is T_e.
     t_e = traj.events[0].t_event if traj.events else float("nan")
-    os.makedirs(out_dir, exist_ok=True)
-    _write_csv(
-        os.path.join(out_dir, "explosion.csv"),
-        "exploded,T_e_estimate",
-        [(int(bool(traj.events)), t_e)],
-    )
     crossings = policy.crossings if policy else []
-    _write_csv(
-        os.path.join(out_dir, "crossings.csv"),
-        "n,t,which,delta_n",
-        [(c.n, c.t, c.which, c.delta_n) for c in crossings],
-    )
-    _write_run_outputs(
-        out_dir, cfg, traj, time.perf_counter() - start, "explosion-study", model
-    )
-    return _exit_status(cfg.t_end, traj)
+    tables = [
+        ("explosion.csv", "exploded,T_e_estimate", [(int(bool(traj.events)), t_e)]),
+        ("crossings.csv", "n,t,which,delta_n",
+         [(c.n, c.t, c.which, c.delta_n) for c in crossings]),
+    ]
+    return _exit_status(cfg.t_end, traj), tables, model, traj
 
 
 def _self_test():
@@ -487,8 +441,8 @@ def _self_test():
     with tempfile.TemporaryDirectory() as tmp:
         out_a = os.path.join(tmp, "a")
         out_b = os.path.join(tmp, "b")
-        cmd_simulate(cfg, out_a)
-        cmd_simulate(cfg, out_b)
+        _execute("simulate", cfg, out_a)
+        _execute("simulate", cfg, out_b)
         same = all(
             open(os.path.join(out_a, f), "rb").read() == open(os.path.join(out_b, f), "rb").read()
             for f in ("trajectory.csv", "diagnostics.csv", "events.csv")
@@ -511,6 +465,30 @@ _COMMANDS = {
     "lipschitz-harness": cmd_lipschitz_harness,
     "explosion-study": cmd_explosion_study,
 }
+
+
+def _execute(command, cfg, out_dir):
+    """Run one command, write its outputs to ``out_dir`` and return its
+    exit code.  The command is timed alone; the directory is made only
+    once it has returned, and manifest.txt is written last."""
+    start = time.perf_counter()
+    code, tables, model, run = _COMMANDS[command](cfg)
+    wall_time = time.perf_counter() - start
+    os.makedirs(out_dir, exist_ok=True)
+    if run is not None:
+        _write_trajectory(os.path.join(out_dir, "trajectory.csv"), run)
+        tables += [
+            ("diagnostics.csv", "t,gauge_defect,ortho_defect,gram_inv_frobenius,lambda_min",
+             [(r.t, r.gauge_defect, r.ortho_defect, r.gram_inv_frobenius, r.lambda_min)
+              for r in run.diag]),
+            ("events.csv", "t,old_rank,new_rank,discarded_mass,inv_norm_at_event",
+             [(e.t_event, e.old_rank, e.new_rank, e.discarded_mass, e.inv_norm_at_event)
+              for e in run.events]),
+        ]
+    for name, header, rows in tables:
+        _write_csv(os.path.join(out_dir, name), header, rows)
+    _write_manifest(out_dir, cfg, wall_time, command, run, model)
+    return code
 
 
 def main(argv=None):
@@ -536,12 +514,8 @@ def main(argv=None):
         return 2
     try:
         cfg = _load_config(args.config)
-        out_dir = args.out or cfg.out_dir
-        return _COMMANDS[args.command](cfg, out_dir)
-    except (ParseError, ValidationError, UnknownModel, BadParams) as err:
-        print("config error: %s" % err, file=sys.stderr)
-        return 2
-    except (FileNotFoundError, MemoryError) as err:
+        return _execute(args.command, cfg, args.out or cfg.out_dir)
+    except (ParseError, ValidationError, UnknownModel, BadParams, OSError, MemoryError) as err:
         print("config error: %s" % err, file=sys.stderr)
         return 2
     except DosdeError as err:

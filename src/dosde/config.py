@@ -2,8 +2,10 @@
 
 Blank lines and ``#`` comments are ignored.  Values are integers, reals,
 bare strings, or bracketed real lists like ``[0.5, -2.0]``.  Unknown
-sections or keys are errors; model parameters are validated against the
-named builtin's accepted parameter list.  ``serialize`` emits a
+sections or keys are errors.  ``_KEYS`` names each key once: its type
+is that of its ``RunConfig`` default, and every number but ``run.seed``
+must be positive.  Model parameters are validated against the named
+builtin's accepted parameter list.  ``serialize`` emits a
 canonical form (every key, sorted, 17 significant digits) whose parse
 round-trips to an equal config, and ``config_hash`` fingerprints it.
 """
@@ -52,36 +54,36 @@ class RunConfig:
     harness_rank: int = 3
 
 
-# (section, key) -> (attribute, type) where type in {"int", "real", "string"}.
+# "section.key" -> RunConfig attribute.  A key's type is the type of
+# the attribute's default; every number but run.seed must be positive.
 _KEYS = {
-    ("run", "scheme"): ("scheme", "string"),
-    ("run", "t_end"): ("t_end", "real"),
-    ("run", "dt"): ("dt", "real"),
-    ("run", "n_atoms"): ("n_atoms", "int"),
-    ("run", "rank"): ("rank", "int"),
-    ("run", "dim"): ("dim", "int"),
-    ("run", "seed"): ("seed", "int"),
-    ("run", "record_stride"): ("record_stride", "int"),
-    ("run", "out_dir"): ("out_dir", "string"),
-    ("monitor", "n_max"): ("n_max", "int"),
-    ("monitor", "gamma_cap_factor"): ("gamma_cap_factor", "real"),
-    ("monitor", "sv_tolerance"): ("sv_tolerance", "real"),
-    ("compare", "scheme_b"): ("compare_scheme_b", "string"),
-    ("compare", "levels"): ("compare_levels", "int"),
-    ("picard", "n_iters"): ("picard_iters", "int"),
-    ("picard", "grid"): ("picard_grid", "int"),
-    ("harness", "n_trials"): ("harness_trials", "int"),
-    ("harness", "n_atoms"): ("harness_atoms", "int"),
-    ("harness", "dim"): ("harness_dim", "int"),
-    ("harness", "rank"): ("harness_rank", "int"),
+    "run.scheme": "scheme",
+    "run.t_end": "t_end",
+    "run.dt": "dt",
+    "run.n_atoms": "n_atoms",
+    "run.rank": "rank",
+    "run.dim": "dim",
+    "run.seed": "seed",
+    "run.record_stride": "record_stride",
+    "run.out_dir": "out_dir",
+    "monitor.n_max": "n_max",
+    "monitor.gamma_cap_factor": "gamma_cap_factor",
+    "monitor.sv_tolerance": "sv_tolerance",
+    "compare.scheme_b": "compare_scheme_b",
+    "compare.levels": "compare_levels",
+    "picard.n_iters": "picard_iters",
+    "picard.grid": "picard_grid",
+    "harness.n_trials": "harness_trials",
+    "harness.n_atoms": "harness_atoms",
+    "harness.dim": "harness_dim",
+    "harness.rank": "harness_rank",
 }
 
-_POSITIVE_INTS = (
-    "n_atoms", "rank", "dim", "record_stride", "n_max", "compare_levels",
-    "picard_iters", "picard_grid", "harness_trials", "harness_atoms",
-    "harness_dim", "harness_rank",
-)
-_POSITIVE_REALS = ("t_end", "dt", "gamma_cap_factor", "sv_tolerance")
+_TYPE_NAMES = {int: "an integer", float: "a real", str: "a string"}
+
+
+def _kind(attr):
+    return type(getattr(RunConfig, attr))
 
 
 def _parse_value(raw, line_no):
@@ -133,21 +135,15 @@ def parse_config(text):
             else:
                 cfg.model_params[key] = value
             continue
-        try:
-            attr, kind = _KEYS[(section, key)]
-        except KeyError:
-            raise ParseError("unknown key %s.%s" % (section, key), line=line_no) from None
-        if kind == "int":
-            if not isinstance(value, int):
-                raise ParseError("%s.%s must be an integer" % (section, key), line=line_no)
-        elif kind == "real":
-            if isinstance(value, int):
-                value = float(value)
-            if not isinstance(value, float):
-                raise ParseError("%s.%s must be a real" % (section, key), line=line_no)
-        else:
-            if not isinstance(value, str):
-                raise ParseError("%s.%s must be a string" % (section, key), line=line_no)
+        name = "%s.%s" % (section, key)
+        attr = _KEYS.get(name)
+        if attr is None:
+            raise ParseError("unknown key %s" % name, line=line_no)
+        kind = _kind(attr)
+        if kind is float and isinstance(value, int):
+            value = float(value)
+        if not isinstance(value, kind):
+            raise ParseError("%s must be %s" % (name, _TYPE_NAMES[kind]), line=line_no)
         setattr(cfg, attr, value)
     if not seen_model_name:
         raise ValidationError("required key is missing", field="model.name")
@@ -177,13 +173,12 @@ def validate_config(cfg):
         raise ValidationError(
             "scheme must be one of %s" % (", ".join(_SCHEMES)), field="compare.scheme_b"
         )
-    for name in _POSITIVE_INTS:
-        if getattr(cfg, name) < 1:
-            raise ValidationError("must be a positive integer", field=_field_name(name))
-    for name in _POSITIVE_REALS:
-        v = getattr(cfg, name)
-        if not (isinstance(v, float) and math.isfinite(v) and v > 0):
-            raise ValidationError("must be a positive finite real", field=_field_name(name))
+    for name, attr in _KEYS.items():
+        v, kind = getattr(cfg, attr), _kind(attr)
+        if kind is int and attr != "seed" and v < 1:
+            raise ValidationError("must be a positive integer", field=name)
+        if kind is float and not (isinstance(v, float) and math.isfinite(v) and v > 0):
+            raise ValidationError("must be a positive finite real", field=name)
     if cfg.dt > cfg.t_end:
         raise ValidationError("dt exceeds t_end", field="run.dt")
     if cfg.rank > cfg.dim:
@@ -191,13 +186,6 @@ def validate_config(cfg):
     if cfg.harness_rank > min(cfg.harness_dim, cfg.harness_atoms):
         raise ValidationError("rank exceeds dim or n_atoms", field="harness.rank")
     return cfg
-
-
-def _field_name(attr):
-    for (section, key), (a, _) in _KEYS.items():
-        if a == attr:
-            return "%s.%s" % (section, key)
-    return attr
 
 
 def _format_value(v):
@@ -217,8 +205,8 @@ def serialize(cfg):
     lines = ["model.name = %s" % cfg.model_name]
     for key in sorted(cfg.model_params):
         lines.append("model.%s = %s" % (key, _format_value(cfg.model_params[key])))
-    for (section, key), (attr, _) in sorted(_KEYS.items()):
-        lines.append("%s.%s = %s" % (section, key, _format_value(getattr(cfg, attr))))
+    for name, attr in sorted(_KEYS.items()):
+        lines.append("%s = %s" % (name, _format_value(getattr(cfg, attr))))
     return "\n".join(lines) + "\n"
 
 

@@ -14,9 +14,9 @@ the atoms into aligned leaves of ``_LEAF`` atoms, reduces each leaf with
 one BLAS product and sums the leaf results with the pairwise tree: its
 bits are the same across reruns and BLAS thread counts (OpenBLAS splits
 a product over output entries, not over the summed axis), but may change
-with the CPU kernel OpenBLAS selects.  ``mean_outer_walk`` is the same
-reduction for an ensemble that is made a block of whole leaves at a
-time and never held whole.
+with the CPU kernel OpenBLAS selects.  It is ``mean_outer_walk`` over a
+B held whole; the walk also serves an ensemble that is made a block of
+whole leaves at a time and never held whole.
 
 The second half of the module collects the closed-form scalar bounds
 used by the well-posedness and explosion machinery: the invertibility
@@ -86,8 +86,9 @@ def mean_outer(A, B):
     reduced by one product A_leaf^T B_leaf, and the leaf results are
     summed with ``pairwise_sum``.  Inputs are made C-contiguous first,
     so the bits do not depend on their memory layout (numpy takes other
-    code paths for some strided operands).  ``mean_outer(Y, Y)`` is
-    exactly symmetric: on one buffer numpy computes X^T X with syrk.
+    code paths for some strided operands), and B is walked by
+    ``mean_outer_walk``.  ``mean_outer(Y, Y)`` is exactly symmetric: on
+    one buffer numpy computes X^T X with syrk.
     """
     same = B is A
     A = np.ascontiguousarray(A, dtype=float)
@@ -96,12 +97,10 @@ def mean_outer(A, B):
         raise ShapeMismatch(
             "atom counts differ: %d vs %d" % (A.shape[0], B.shape[0])
         )
-    n = A.shape[0]
-    if n == 0:
+    if A.shape[0] == 0:
         raise InvalidEnsemble("cannot reduce an empty axis")
-    leaves = np.empty((-(-n // _LEAF), A.shape[1], B.shape[1]))
-    _leaf_products(A, B, leaves)
-    return pairwise_sum(leaves) / n
+    # Blocks of one buffer are views of it, so each leaf is still syrk.
+    return mean_outer_walk(A, B.shape[1], B.__getitem__)
 
 
 def mean_outer_walk(A, q, block):
@@ -110,27 +109,21 @@ def mean_outer_walk(A, q, block):
     slice ``rows`` of the atoms, called in atom order.
 
     A block is a run of whole leaves holding about ``_BLOCK_VALUES``
-    values of B, and at least one leaf.  Each block's leaf products go
-    into the leaf array ``mean_outer(A, B)`` builds, on C-contiguous
-    copies as there, and the same ``pairwise_sum`` tree adds them, so the
-    result has ``mean_outer(A, B)``'s bits.
+    values of B, and at least one leaf.  Each block's leaf products, on
+    C-contiguous copies, fill one leaf array that ``pairwise_sum`` adds,
+    so the result has ``mean_outer(A, B)``'s bits: that is this walk
+    over a B held whole.
     """
     A = np.ascontiguousarray(A, dtype=float)
     n = A.shape[0]
     leaves = np.empty((-(-n // _LEAF), A.shape[1], q))
-    span = max(1, _BLOCK_VALUES // (q * _LEAF)) * _LEAF
+    span = max(1, _BLOCK_VALUES // (max(q, 1) * _LEAF)) * _LEAF
     for s in range(0, n, span):
         B = np.ascontiguousarray(block(slice(s, s + span)), dtype=float)
-        _leaf_products(A[s : s + span], B, leaves[s // _LEAF :])
+        # One BLAS product per aligned leaf (the last may be shorter).
+        for i, r in enumerate(range(0, B.shape[0], _LEAF), start=s // _LEAF):
+            np.matmul(A[s + r : s + r + _LEAF].T, B[r : r + _LEAF], out=leaves[i])
     return pairwise_sum(leaves) / n
-
-
-def _leaf_products(A, B, out):
-    """out[i] = A_i^T B_i for the i-th aligned leaf of ``_LEAF`` atoms of
-    the C-contiguous A and B (the last may be shorter): one BLAS product
-    per leaf."""
-    for i, s in enumerate(range(0, A.shape[0], _LEAF)):
-        np.matmul(A[s : s + _LEAF].T, B[s : s + _LEAF], out=out[i])
 
 
 def mean_sq_norm(A):

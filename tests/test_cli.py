@@ -107,7 +107,7 @@ def test_manifest_reports_a_shortened_run(tmp_path):
     init = default_initial(model, 64, 2, seed=0)
     traj = integrate(model, init, "do", 1.2, 1e-2, paths.generate(0, 120, 1e-2, 64, model.m))
     assert not traj.completed
-    cli._write_run_outputs(str(tmp_path), cfg, traj, 0.0, "simulate", model)
+    cli._write_manifest(str(tmp_path), cfg, 0.0, "simulate", traj, model)
     fields = _manifest(tmp_path / "manifest.txt")
     assert fields["completed"] == "false"
     assert float(fields["t_reached"]) == pytest.approx(1.0, rel=1e-12)
@@ -122,11 +122,31 @@ def test_manifest_names_a_diagonal_diffusion(tmp_path):
         "model.name = gbm_clipped\nrun.scheme = reference\nrun.dim = 3\nrun.rank = 3\n"
         "run.n_atoms = 8\nrun.dt = 0.01\nrun.t_end = 0.05\n"
     )
-    assert cli.cmd_simulate(cfg, str(tmp_path)) == 0
+    assert cli._execute("simulate", cfg, str(tmp_path)) == 0
     fields = _manifest(tmp_path / "manifest.txt")
     assert fields["diffusion"] == "diagonal"
     assert (fields["n_atoms"], fields["dim"], fields["channels"]) == ("8", "3", "3")
     assert (fields["steps"], fields["rank_events"]) == ("5", "0")
+
+
+def test_trajectory_writer_holds_one_block_of_values(tmp_path):
+    # A 2048 x 32 state is 0.5 MiB; as one Python list it would be 2 MiB.
+    import tracemalloc
+
+    from dosde import cli
+    from dosde.integrators import FullState, Trajectory
+
+    X = numpy.random.default_rng(0).standard_normal((2048, 32))
+    traj = Trajectory("reference", [0.0], [FullState(t=0.0, X=X)], [], [], True)
+    tracemalloc.start()
+    try:
+        cli._write_trajectory(str(tmp_path / "trajectory.csv"), traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with open(tmp_path / "trajectory.csv") as fh:
+        assert sum(1 for _ in fh) == 1 + X.size
 
 
 def test_simulate_out_flag_overrides(tmp_path):
@@ -173,6 +193,8 @@ run.out_dir = {out}
     proc = _run("simulate", cfg)
     assert proc.returncode == 3
     assert "numerical failure" in proc.stderr
+    # the scheme raised, so the run has no outputs to write
+    assert not (tmp_path / "out").exists()
 
 
 # A low cap that the inverse-Gram norm crosses again after every restart,
@@ -907,7 +929,8 @@ def _tiny_configs(draw):
     """A command and a config of at most 5 atoms, dims and ranks, two
     steps, whose model parameters may be negative, zero or non-finite;
     or, oversize, 10^11 to 10^12 atoms, which fail at the first
-    allocation (no size in between, which would really allocate)."""
+    allocation (no size in between, which would really allocate).  The
+    third item says whether the output target lies under a regular file."""
     from dosde import cli
     from dosde.models import PARAM_NAMES
 
@@ -945,21 +968,26 @@ def _tiny_configs(draw):
         "picard.n_iters = %d" % draw(st.integers(min_value=1, max_value=3)),
         "harness.n_trials = %d" % draw(st.integers(min_value=1, max_value=2)),
     ]
-    return command, "\n".join(lines) + "\n"
+    return command, "\n".join(lines) + "\n", draw(st.booleans())
 
 
 @given(_tiny_configs())
 @settings(max_examples=300, deadline=None)
 def test_every_command_exits_with_a_documented_code(case):
     # 0 success, 2 config error, 3 numerical failure: no other code and
-    # no traceback, whatever the sizes and parameters.
+    # no traceback, whatever the sizes and parameters.  An output
+    # directory that cannot be made is a config error.
     import tempfile
 
     from dosde import cli
 
-    command, text = case
+    command, text, under_file = case
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "run.cfg")
         with open(cfg, "w", encoding="utf-8") as fh:
             fh.write(text)
-        assert cli.main([command, cfg, "--out", os.path.join(tmp, "out")]) in (0, 2, 3)
+        out = os.path.join(tmp, "out")
+        if under_file:
+            open(out, "w").close()
+            out = os.path.join(out, "run")
+        assert cli.main([command, cfg, "--out", out]) in ((2,) if under_file else (0, 2, 3))

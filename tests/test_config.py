@@ -55,6 +55,9 @@ def test_parse_list_values():
         ("nosection.key = 3", "unknown key"),
         ("garbage without equals", "expected"),
         ("run.n_atoms = 3.5", "must be an integer"),
+        ("run.dt = fast", "must be a real"),
+        ("monitor.sv_tolerance = [1e-8]", "must be a real"),
+        ("run.scheme = 3", "must be a string"),
         ("run.t_end = banana!!", "cannot parse"),
         ("model.lambdas = [0.5,", "unterminated"),
         ("model.lambdas = [a, b]", "bad list element"),
@@ -97,6 +100,73 @@ def test_validate_flags_field(mutation, field):
     with pytest.raises(ValidationError) as err:
         validate_config(cfg)
     assert err.value.field == field
+
+
+def test_only_the_seed_may_be_negative():
+    assert parse_config(GOOD + "run.seed = -3\n").seed == -3
+    with pytest.raises(ValidationError) as err:
+        parse_config(GOOD + "run.record_stride = 0\n")
+    assert err.value.field == "run.record_stride"
+
+
+# Every key set away from its default; recorded when the key table held
+# (attribute, type) pairs, so the canonical text and hash do not move.
+FULL = """
+model.name = linear_lowrank
+model.lambdas = [-0.5, -2]
+model.sigma_b = 0.25
+run.scheme = ambient
+run.t_end = 2
+run.dt = 0.125
+run.n_atoms = 300
+run.rank = 3
+run.dim = 6
+run.seed = -3
+run.record_stride = 4
+run.out_dir = results/full-run
+monitor.n_max = 9
+monitor.gamma_cap_factor = 1e6
+monitor.sv_tolerance = 2.5e-9
+compare.scheme_b = reference
+compare.levels = 2
+picard.n_iters = 5
+picard.grid = 16
+harness.n_trials = 20
+harness.n_atoms = 12
+harness.dim = 5
+harness.rank = 4
+"""
+
+FULL_CANONICAL = """model.name = linear_lowrank
+model.lambdas = [-0.5, -2]
+model.sigma_b = 0.25
+compare.levels = 2
+compare.scheme_b = reference
+harness.dim = 5
+harness.n_atoms = 12
+harness.n_trials = 20
+harness.rank = 4
+monitor.gamma_cap_factor = 1000000
+monitor.n_max = 9
+monitor.sv_tolerance = 2.5000000000000001e-09
+picard.grid = 16
+picard.n_iters = 5
+run.dim = 6
+run.dt = 0.125
+run.n_atoms = 300
+run.out_dir = results/full-run
+run.rank = 3
+run.record_stride = 4
+run.scheme = ambient
+run.seed = -3
+run.t_end = 2
+"""
+
+
+def test_serialize_matches_golden_text_and_hash():
+    cfg = parse_config(FULL)
+    assert serialize(cfg) == FULL_CANONICAL
+    assert config_hash(cfg) == "f81a92d2342a8f2f"
 
 
 def test_serialize_round_trip_fixed():
