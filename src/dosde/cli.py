@@ -1,6 +1,11 @@
 """Command-line harness: simulate, compare, picard-demo, lipschitz-harness,
 explosion-study, plus a --self-test invariant suite.
 
+The library modules are imported once, at module level, and called
+through the module (``integrators.integrate``, ``models.builtin``), so
+rebinding a module attribute, as a tracer does, reaches every call.
+``_setup`` builds the model and initial datum of every command that
+runs one.
 Each ``cmd_*`` takes the config alone and returns (exit code, tables,
 model, run).  ``_execute`` times it, and only then writes every output:
 the tables, a run's trajectory, diagnostics and events, and manifest.txt
@@ -16,10 +21,19 @@ manifest.txt.
 """
 
 import argparse
+import ctypes
+import filecmp
+import math
 import os
+import resource
 import sys
+import tempfile
 import time
+from itertools import chain
 
+import numpy as np
+
+from . import config, diagnostics, integrators, kernels, models, paths, picard, rank_control
 from .errors import (
     BadParams,
     DosdeError,
@@ -44,18 +58,10 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    from .config import parse_config
-
-    return parse_config(text)
-
-
-def _build_model(cfg):
-    from .models import builtin
-
-    return builtin(cfg.model_name, d=cfg.dim, **cfg.model_params)
+def _setup(cfg):
+    """The config's model and its documented initial datum."""
+    model = models.builtin(cfg.model_name, d=cfg.dim, **cfg.model_params)
+    return model, models.default_initial(model, cfg.n_atoms, cfg.rank, seed=cfg.seed)
 
 
 # Trajectory rows formatted by one ``%`` each: long enough to amortise
@@ -66,14 +72,10 @@ _CSV_BLOCK_ROWS = 4096
 def _write_trajectory(path, traj):
     """trajectory.csv, one recorded array at a time: a factored state
     writes U then Y, a full state X, each flattened row-major."""
-    from itertools import chain
-
-    from .integrators import DoState
-
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,kind,index,value\n")
         for state in traj.states:
-            if isinstance(state, DoState):
+            if isinstance(state, integrators.DoState):
                 arrays = (("U", state.U), ("Y", state.Y))
             else:
                 arrays = (("X", state.X),)
@@ -88,8 +90,6 @@ def _write_trajectory(path, traj):
 
 def _peak_rss_mb():
     """Peak resident set size of this process so far, in MiB."""
-    import resource
-
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return peak / (1 << 20) if sys.platform == "darwin" else peak / 1024  # bytes vs KiB
 
@@ -98,8 +98,6 @@ def _blas_info():
     """(CPU kernel name, thread count) of the OpenBLAS that numpy loaded,
     read through its exported getters; "unknown" for other BLAS builds.
     Output bits may differ between OpenBLAS kernels, never thread counts."""
-    import ctypes
-
     try:
         from numpy._core import _multiarray_umath
 
@@ -125,16 +123,12 @@ def _log_simd():
 
 
 def _write_manifest(out_dir, cfg, wall_time, command, traj, model):
-    import numpy
-
-    from .config import config_hash
-
     with open(os.path.join(out_dir, "manifest.txt"), "w", encoding="utf-8") as fh:
         fh.write("build = %s\n" % BUILD_ID)
         fh.write("command = %s\n" % command)
-        fh.write("config_hash = %s\n" % config_hash(cfg))
+        fh.write("config_hash = %s\n" % config.config_hash(cfg))
         fh.write("seed = %d\n" % cfg.seed)
-        fh.write("numpy = %s\n" % numpy.__version__)
+        fh.write("numpy = %s\n" % np.__version__)
         fh.write("blas_core = %s\nblas_threads = %s\n" % _blas_info())
         fh.write("log_simd = %s\n" % _log_simd())
         fh.write("wall_time_s = %.3f\n" % wall_time)
@@ -164,24 +158,18 @@ def _exit_status(t_end, *trajs):
 
 
 def _run_simulation(cfg):
-    from . import paths
-    from .integrators import integrate
-    from .models import default_initial
-    from .rank_control import RestartPolicy
-
-    model = _build_model(cfg)
-    initial = default_initial(model, cfg.n_atoms, cfg.rank, seed=cfg.seed)
-    n_steps = int(round(cfg.t_end / cfg.dt))
+    model, initial = _setup(cfg)
+    n_steps = integrators.grid_steps(cfg.t_end, cfg.dt)
     path = paths.generate(cfg.seed, n_steps, cfg.dt, cfg.n_atoms, model.m)
     policy = None
     if cfg.scheme == "do":
-        policy = RestartPolicy(
+        policy = rank_control.RestartPolicy(
             model,
             n_max=cfg.n_max,
             cap_factor=cfg.gamma_cap_factor,
             sv_tolerance=cfg.sv_tolerance,
         )
-    traj = integrate(
+    traj = integrators.integrate(
         model,
         initial,
         cfg.scheme,
@@ -220,11 +208,6 @@ class _ComparedPair:
         self.sup = self.scale = 0.0
 
     def advance(self, t_end, path):
-        import math
-
-        from .diagnostics import l2_distance
-        from .kernels import mean_sq_norm
-
         held = []
         self._run(0, self.cfg.scheme, t_end, path, held.append)
         partners = iter(held)
@@ -233,14 +216,12 @@ class _ComparedPair:
             sa = next(partners, None)
             if sa is not None:
                 xa = sa.product()
-                self.sup = max(self.sup, l2_distance(xa, sb.product()))
-                self.scale = max(self.scale, math.sqrt(mean_sq_norm(xa)))
+                self.sup = max(self.sup, diagnostics.l2_distance(xa, sb.product()))
+                self.scale = max(self.scale, math.sqrt(kernels.mean_sq_norm(xa)))
 
         self._run(1, self.cfg.compare_scheme_b, t_end, path, pair)
 
     def _run(self, i, scheme, t_end, path, record):
-        from .integrators import integrate
-
         start = self.states[i]
         if start is None:
             return
@@ -257,8 +238,8 @@ class _ComparedPair:
             else:
                 record(state)
 
-        run = integrate(self.model, start, scheme, t_end, self.dt, path, R=self.cfg.rank,
-                        on_record=on_record)
+        run = integrators.integrate(self.model, start, scheme, t_end, self.dt, path,
+                                    R=self.cfg.rank, on_record=on_record)
         self.states[i] = last if run.completed else None
         self.outcomes[i] = run
 
@@ -278,15 +259,9 @@ def cmd_compare(cfg):
     runs by one ``integrate`` call each.  Memory holds one window and
     the current states, whatever t_end.
     """
-    import numpy as np
-
-    from . import paths
-    from .models import default_initial
-
-    model = _build_model(cfg)
-    initial = default_initial(model, cfg.n_atoms, cfg.rank, seed=cfg.seed)
+    model, initial = _setup(cfg)
     levels = cfg.compare_levels
-    n0 = int(round(cfg.t_end / cfg.dt))
+    n0 = integrators.grid_steps(cfg.t_end, cfg.dt)
     pairs = [_ComparedPair(cfg, model, initial, cfg.dt / (1 << lvl)) for lvl in range(levels)]
     # A window also bounds the first scheme's records it holds, d values per atom.
     windows = paths.lockstep(cfg.seed, n0, cfg.dt, cfg.n_atoms, model.m, levels, width=model.d)
@@ -309,20 +284,13 @@ def cmd_compare(cfg):
 
 
 def cmd_picard_demo(cfg):
-    import math
-
-    from . import kernels, paths
-    from .models import default_initial
-    from .picard import picard_local_solve
-
-    model = _build_model(cfg)
-    initial = default_initial(model, cfg.n_atoms, cfg.rank, seed=cfg.seed)
+    model, initial = _setup(cfg)
     rep = kernels.gram(initial.Y)
     rho = math.sqrt(kernels.mean_sq_norm(initial.Y))
     delta = kernels.picard_delta(cfg.rank, rho, rep.inv_frobenius, cfg.dim, model.C_lgb)
     grid = cfg.picard_grid
     path = paths.generate(cfg.seed, grid, delta / grid, cfg.n_atoms, model.m)
-    result = picard_local_solve(model, initial.U, initial.Y, path, n_iters=cfg.picard_iters)
+    result = picard.picard_local_solve(model, initial.U, initial.Y, path, n_iters=cfg.picard_iters)
     rows = []
     for i, dlt in enumerate(result.sup_differences, start=1):
         prev = result.sup_differences[i - 2] if i >= 2 else float("nan")
@@ -333,9 +301,7 @@ def cmd_picard_demo(cfg):
 
 
 def cmd_lipschitz_harness(cfg):
-    from .diagnostics import projector_lipschitz_harness
-
-    report = projector_lipschitz_harness(
+    report = diagnostics.projector_lipschitz_harness(
         n_trials=cfg.harness_trials,
         N=cfg.harness_atoms,
         d=cfg.harness_dim,
@@ -366,20 +332,11 @@ def cmd_explosion_study(cfg):
 
 def _self_test():
     """Fast invariant suite; returns 0 or 4."""
-    import math
-    import tempfile
-
-    import numpy as np
-
     checks = []
 
     def check(name, ok):
         checks.append((name, ok))
         return ok
-
-    from . import kernels, paths
-    from .integrators import integrate
-    from .models import builtin, default_initial
 
     rep = kernels.gram(np.array([[1.0, 0.0], [0.0, 1.0]]))
     check("gram identity example", np.allclose(rep.gram, 0.5 * np.eye(2), atol=1e-15)
@@ -409,11 +366,11 @@ def _self_test():
     check("path refinement consistency",
           all(np.array_equal(agg[k], coarse.increment(k)) for k in range(4)))
 
-    model = builtin("ou", kappa=1.0, sigma=1.0, d=3)
-    init = default_initial(model, 32, 3, seed=1)
+    model = models.builtin("ou", kappa=1.0, sigma=1.0, d=3)
+    init = models.default_initial(model, 32, 3, seed=1)
     path = paths.generate(3, 20, 0.01, 32, 3)
-    do_traj = integrate(model, init, "do", 0.2, 0.01, path)
-    ref_traj = integrate(model, init, "reference", 0.2, 0.01, path)
+    do_traj = integrators.integrate(model, init, "do", 0.2, 0.01, path)
+    ref_traj = integrators.integrate(model, init, "reference", 0.2, 0.01, path)
     dev = 0.0
     for sd, sr in zip(do_traj.states, ref_traj.states):
         xd = sd.product()
@@ -423,30 +380,27 @@ def _self_test():
         float(np.linalg.norm(s.U @ s.U.T - np.eye(s.U.shape[0]))) for s in do_traj.states
     )
     check("basis orthonormality", worst_ortho <= 1e-10)
-    half = integrate(model, init, "do", 0.1, 0.01, path)
-    split = half.states + integrate(model, half.states[-1], "do", 0.2, 0.01, path).states[1:]
+    half = integrators.integrate(model, init, "do", 0.1, 0.01, path)
+    rest = integrators.integrate(model, half.states[-1], "do", 0.2, 0.01, path)
+    split = half.states + rest.states[1:]
     check("split run equals unbroken run", len(split) == len(do_traj.states) and all(
         a.t == b.t and a.U.tobytes() == b.U.tobytes() and a.Y.tobytes() == b.Y.tobytes()
         for a, b in zip(split, do_traj.states)
     ))
 
-    from .config import parse_config, serialize
-
-    cfg = parse_config(
+    cfg = config.parse_config(
         "model.name = ou\nmodel.kappa = 1.5\nrun.scheme = do\nrun.t_end = 0.1\n"
         "run.dt = 0.01\nrun.n_atoms = 16\nrun.rank = 2\nrun.dim = 2\n"
     )
-    check("config round-trip", parse_config(serialize(cfg)) == cfg)
+    check("config round-trip", config.parse_config(config.serialize(cfg)) == cfg)
 
     with tempfile.TemporaryDirectory() as tmp:
         out_a = os.path.join(tmp, "a")
         out_b = os.path.join(tmp, "b")
         _execute("simulate", cfg, out_a)
         _execute("simulate", cfg, out_b)
-        same = all(
-            open(os.path.join(out_a, f), "rb").read() == open(os.path.join(out_b, f), "rb").read()
-            for f in ("trajectory.csv", "diagnostics.csv", "events.csv")
-        )
+        same = all(filecmp.cmp(os.path.join(out_a, f), os.path.join(out_b, f), shallow=False)
+                   for f in ("trajectory.csv", "diagnostics.csv", "events.csv"))
         check("rerun determinism", same)
 
     failed = [name for name, ok in checks if not ok]
@@ -513,7 +467,8 @@ def main(argv=None):
         print("error: a command and a config file are required", file=sys.stderr)
         return 2
     try:
-        cfg = _load_config(args.config)
+        with open(args.config, "r", encoding="utf-8") as fh:
+            cfg = config.parse_config(fh.read())
         return _execute(args.command, cfg, args.out or cfg.out_dir)
     except (ParseError, ValidationError, UnknownModel, BadParams, OSError, MemoryError) as err:
         print("config error: %s" % err, file=sys.stderr)

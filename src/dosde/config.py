@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 
 from . import integrators
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ShapeMismatch, ValidationError
 from .models import PARAM_NAMES
 
 _SCHEMES = integrators._SCHEMES
@@ -181,6 +181,10 @@ def validate_config(cfg):
             raise ValidationError("must be a positive finite real", field=name)
     if cfg.dt > cfg.t_end:
         raise ValidationError("dt exceeds t_end", field="run.dt")
+    try:
+        integrators.grid_steps(cfg.t_end, cfg.dt)
+    except ShapeMismatch as err:
+        raise ValidationError(str(err), field="run.t_end") from None
     if cfg.rank > cfg.dim:
         raise ValidationError("rank exceeds dim", field="run.rank")
     if cfg.harness_rank > min(cfg.harness_dim, cfg.harness_atoms):

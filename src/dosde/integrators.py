@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import kernels, rank_control
 from .errors import (
     InvalidEnsemble,
     NonFiniteState,
@@ -296,6 +296,16 @@ class Trajectory:
     completed: bool
 
 
+def grid_steps(t_end, dt):
+    """The number of dt steps to t_end, round(t_end / dt); raises
+    ShapeMismatch when t_end is not on the dt grid (within 1e-9
+    relative) or the count is not finite."""
+    n_steps = round(t_end / dt) if math.isfinite(t_end / dt) else -1
+    if not abs(n_steps * dt - t_end) <= 1e-9 * max(1.0, abs(t_end)):
+        raise ShapeMismatch("t_end=%g is not a multiple of dt=%g" % (t_end, dt))
+    return n_steps
+
+
 def integrate(
     model,
     initial,
@@ -346,9 +356,7 @@ def integrate(
     """
     if scheme not in _SCHEMES:
         raise ShapeMismatch("unknown scheme %r; expected one of %s" % (scheme, _SCHEMES))
-    n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        raise ShapeMismatch("t_end=%g is not a multiple of dt=%g" % (t_end, dt))
+    n_steps = grid_steps(t_end, dt)
     if path.n_steps < n_steps:
         raise ShapeMismatch("path has %d steps, need %d" % (path.n_steps, n_steps))
     if path.m != model.m:
@@ -412,9 +420,7 @@ def integrate(
         exploded = singular if policy is None else policy.observe(report, state)
         if exploded:
             if policy is None:
-                from .rank_control import truncate  # local import avoids a cycle
-
-                state, event = None, truncate(state)[1]
+                state, event = None, rank_control.truncate(state)[1]
             else:
                 state, event = policy.restart(state)
             traj.events.append(event)

@@ -398,7 +398,7 @@ def default_initial(model, N, R, seed=0):
             raise BadParams("mode_crossing initial datum has rank 2, got R=%d" % R)
         xi = _rng(seed, 2).standard_normal(N)
         xi = xi - xi.mean()
-        xi = xi / math.sqrt(float(xi @ xi) / N)
+        xi = xi / math.sqrt(kernels.mean_sq_norm(xi[:, None]))
         Y0 = np.column_stack([xi, np.ones(N)])
         return DoState(t=0.0, U=model.basis.copy(), Y=Y0).validate()
     if model.name == "linear_lowrank":

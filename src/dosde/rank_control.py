@@ -13,16 +13,19 @@ rank 1, whose Gram is still invertible, it re-factors at rank 1), with
 the Brownian counters continuing where they left off.  The rank events
 ``integrate`` collects are the run's explosion record: the first one
 is the explosion time.
+
+``truncate`` re-makes the factored state it is given with
+``dataclasses.replace``, so this module does not import
+``integrators``, which imports it.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import kernels
 from .errors import NoFloorDeclared
-from .integrators import DoState
 
 DEFAULT_CAP_FACTOR = 1e8
 DEFAULT_SV_TOLERANCE = 1e-8
@@ -77,7 +80,7 @@ def truncate(state, sv_tolerance=DEFAULT_SV_TOLERANCE, max_rank=None):
     if keep == 0:
         return None, event
     Q = kernels.fix_signs(state.U.T @ V[:, :keep])
-    return DoState(t=state.t, U=Q.T.copy(), Y=state.product() @ Q), event
+    return replace(state, U=Q.T.copy(), Y=state.product() @ Q), event
 
 
 class RestartPolicy:

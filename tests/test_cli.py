@@ -474,6 +474,29 @@ def test_self_test_passes():
     assert "FAIL" not in proc.stdout
 
 
+def test_a_failing_self_test_check_exits_4_and_names_it(monkeypatch, capsys):
+    from dosde import cli, kernels
+
+    monkeypatch.setattr(kernels, "stability_bound_M", lambda T, E, C: math.nan)
+    assert cli.main(["--self-test"]) == 4
+    captured = capsys.readouterr()
+    assert "growth envelope examples" in captured.out and "FAIL" in captured.out
+    assert "self-test failed: growth envelope examples\n" in captured.err
+
+
+def test_a_harness_over_its_bound_exits_3(tmp_path, monkeypatch, capsys):
+    from dosde import cli, diagnostics
+
+    report = diagnostics.LipschitzHarnessReport(0.5, 1.5, 0.75, n_trials=2)
+    monkeypatch.setattr(diagnostics, "projector_lipschitz_harness", lambda **kw: report)
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, BASE.format(out=out))
+    assert cli.main(["lipschitz-harness", cfg]) == 3
+    assert "projector perturbation bound exceeded" in capsys.readouterr().err
+    assert _rows(out / "harness.csv") == [{"n_trials": "2", "max_ratio_U": "0.5",
+                                           "max_ratio_V": "1.5", "max_ratio_combined": "0.75"}]
+
+
 # Small configs, one per command and scheme family.  Their digests pin
 # every output but manifest.txt (which holds times and versions); a
 # refactor must leave them unchanged.
@@ -815,8 +838,23 @@ def test_compare_rejects_a_t_end_off_the_grid(tmp_path, capsys):
     command, text = _GOLDEN_RUNS["compare-do-ambient-additive_floor"]
     text = text.replace("run.t_end = 0.1\n", "run.t_end = 0.105\n")
     out = tmp_path / "out"
-    assert cli.main([command, _write(tmp_path, text), "--out", str(out)]) == 3
-    assert "t_end=0.105 is not a multiple of dt=0.01" in capsys.readouterr().err
+    assert cli.main([command, _write(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: run.t_end: t_end=0.105 is not a multiple of dt=0.01" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "picard-demo", "lipschitz-harness",
+                                     "explosion-study"])
+def test_every_command_rejects_a_t_end_off_the_grid(command, tmp_path, capsys):
+    # As compare above: a config error, found before anything runs.
+    from dosde import cli
+
+    text = BASE.format(out="unused").replace("run.t_end = 0.05\nrun.dt = 1e-3\n",
+                                             "run.t_end = 0.1\nrun.dt = 0.03\n")
+    out = tmp_path / "out"
+    assert cli.main([command, _write(tmp_path, text), "--out", str(out)]) == 2
+    assert "run.t_end: t_end=0.1 is not a multiple of dt=0.03" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -46,6 +46,8 @@ def test_parse_list_values():
         "model.name = linear_lowrank\nmodel.lambdas = [-0.5, -2.0]\nrun.dim = 8\n"
     )
     assert cfg.model_params["lambdas"] == (-0.5, -2.0)
+    cfg = parse_config("model.name = linear_lowrank\nmodel.lambdas = []\nrun.dim = 8\n")
+    assert cfg.model_params["lambdas"] == ()
 
 
 @pytest.mark.parametrize(
@@ -61,6 +63,7 @@ def test_parse_list_values():
         ("run.t_end = banana!!", "cannot parse"),
         ("model.lambdas = [0.5,", "unterminated"),
         ("model.lambdas = [a, b]", "bad list element"),
+        ("model.name = 3", "model.name must be a string"),
     ],
 )
 def test_parse_errors_carry_line_numbers(line, needle):
@@ -91,6 +94,7 @@ def test_missing_model_name():
         ({"sv_tolerance": 0.0}, "monitor.sv_tolerance"),
         ({"harness_rank": 4, "harness_atoms": 3}, "harness.rank"),
         ({"harness_rank": 4, "harness_dim": 3}, "harness.rank"),
+        ({"t_end": 0.1, "dt": 0.03}, "run.t_end"),  # off the dt grid
     ],
 )
 def test_validate_flags_field(mutation, field):
@@ -100,6 +104,13 @@ def test_validate_flags_field(mutation, field):
     with pytest.raises(ValidationError) as err:
         validate_config(cfg)
     assert err.value.field == field
+
+
+def test_booleans_are_not_serialized():
+    cfg = parse_config(GOOD)
+    cfg.model_params["kappa"] = True
+    with pytest.raises(ValidationError, match="booleans"):
+        serialize(cfg)
 
 
 def test_only_the_seed_may_be_negative():

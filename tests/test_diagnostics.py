@@ -74,6 +74,15 @@ def test_moment_estimator_tracks_and_matches_product():
         moment_estimator(traj, k=0)
 
 
+def test_moment_estimator_on_a_full_state_run():
+    _, _, _, traj = _short_run("reference")
+    ms = moment_estimator(traj, k=2)
+    X = traj.states[-1].X
+    assert ms.values[-1] == pytest.approx(np.mean(np.sum(X**2, axis=1) ** 2), rel=1e-13)
+    assert ms.xy_discrepancy == 0.0
+    assert list(ms.times) == traj.times
+
+
 def test_moment_estimator_constant_on_frozen_dynamics():
     # zero drift/diffusion via a crafted trajectory: reuse the initial
     # state as every snapshot

@@ -1,6 +1,7 @@
 """Steppers and the driver: hand oracles, invariants, grid validation."""
 
 import dataclasses
+import functools
 import hashlib
 import math
 import tracemalloc
@@ -151,6 +152,32 @@ def test_ambient_step_rank_guard():
         step_ambient_dlra(model, FullState(t=0.0, X=X), np.zeros((32, 3)), 0.01, R=2)
 
 
+def _factored_or_full(scheme):
+    """An OU model, a stepper of ``scheme`` and a rank-2 state it takes."""
+    model = builtin("ou", kappa=1.0, sigma=0.5, d=3)
+    init = default_initial(model, N=32, R=2, seed=4)
+    if scheme == "do":
+        return model, step_do, init
+    return model, functools.partial(step_ambient_dlra, R=2), FullState(t=0.0, X=init.product())
+
+
+@pytest.mark.parametrize("scheme", ["do", "ambient"])
+def test_factored_steps_reject_a_wrong_shape_increment(scheme):
+    model, step, state = _factored_or_full(scheme)
+    with pytest.raises(ShapeMismatch, match="dW shape"):
+        step(model, state, np.zeros((32, model.m + 1)), 0.01)
+    with pytest.raises(ShapeMismatch, match="dW shape"):
+        step(model, state, np.zeros((31, model.m)), 0.01)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered", "ignore:overflow encountered")
+@pytest.mark.parametrize("scheme", ["do", "ambient"])
+def test_factored_steps_flag_a_non_finite_result(scheme):
+    model, step, state = _factored_or_full(scheme)
+    with pytest.raises(NonFiniteState, match="non-finite"):
+        step(model, state, np.full((32, model.m), np.inf), 0.01)
+
+
 def test_do_and_ambient_coincide_on_invariant_span():
     # when the initial span is invariant for the dynamics the two
     # factored schemes and plain EM all produce the same ensemble
@@ -172,17 +199,34 @@ def test_integrate_grid_validation():
     model = builtin("ou", d=2)
     init = default_initial(model, N=16, R=2, seed=0)
     path = paths.generate(0, 10, 1e-2, 16, model.m)
-    with pytest.raises(ShapeMismatch):
-        integrate(model, init, "do", 0.105, 1e-2, path)  # not a multiple
-    with pytest.raises(ShapeMismatch):
-        integrate(model, init, "do", 0.2, 1e-2, path)  # path too short
-    with pytest.raises(ShapeMismatch):
-        integrate(model, init, "do", 0.1, 5e-3, path)  # dt mismatch
+    with pytest.raises(ShapeMismatch, match="not a multiple"):
+        integrate(model, init, "do", 0.105, 1e-2, path)
+    with pytest.raises(ShapeMismatch, match="path has 10 steps"):
+        integrate(model, init, "do", 0.2, 1e-2, path)
+    with pytest.raises(ShapeMismatch, match="path has 10 steps"):
+        integrate(model, init, "do", 0.1, 5e-3, path)
+    fine = paths.generate(0, 20, 5e-3, 16, model.m)
+    with pytest.raises(ShapeMismatch, match="path dt=0.005 differs"):
+        integrate(model, init, "do", 0.1, 1e-2, fine)
+    wide = paths.generate(0, 10, 1e-2, 16, model.m + 1)
+    with pytest.raises(ShapeMismatch, match="path has 3 channels, model needs 2"):
+        integrate(model, init, "do", 0.1, 1e-2, wide)
     with pytest.raises(ShapeMismatch):
         integrate(model, init, "nope", 0.1, 1e-2, path)
     bad_atoms = paths.generate(0, 10, 1e-2, 8, model.m)
     with pytest.raises(ShapeMismatch):
         integrate(model, init, "do", 0.1, 1e-2, bad_atoms)
+
+
+def test_ambient_takes_its_rank_from_a_factored_start_only():
+    model = builtin("ou", d=3)
+    init = default_initial(model, N=16, R=2, seed=0)
+    path = paths.generate(0, 5, 1e-2, 16, model.m)
+    traj = integrate(model, init, "ambient", 0.05, 1e-2, path)
+    explicit = integrate(model, init, "ambient", 0.05, 1e-2, path, R=2)
+    assert traj.states[-1].X.tobytes() == explicit.states[-1].X.tobytes()
+    with pytest.raises(ShapeMismatch, match="needs a rank R"):
+        integrate(model, FullState(t=0.0, X=init.product()), "ambient", 0.05, 1e-2, path)
 
 
 def test_integrate_needs_factored_for_do():

@@ -20,7 +20,13 @@ from hypothesis import strategies as st
 
 from dosde import kernels
 from dosde.cli import _blas_info
-from dosde.errors import InvalidBoundInput, InvalidEnsemble, SingularRowGram
+from dosde.errors import (
+    InvalidBoundInput,
+    InvalidEnsemble,
+    ShapeMismatch,
+    SingularGram,
+    SingularRowGram,
+)
 
 
 # ---------------------------------------------------------------- reductions
@@ -281,6 +287,17 @@ def test_as_ensemble_rejects_bad_input():
         kernels.as_ensemble(np.zeros(4))
     with pytest.raises(InvalidEnsemble):
         kernels.as_ensemble(np.array([[1.0, np.nan]]))
+    with pytest.raises(InvalidEnsemble, match="non-empty"):
+        kernels.as_ensemble(np.zeros((0, 2)))
+
+
+def test_reductions_reject_an_empty_or_mismatched_atom_axis():
+    with pytest.raises(InvalidEnsemble, match="empty axis"):
+        kernels.pairwise_sum(np.zeros((0, 3)))
+    with pytest.raises(InvalidEnsemble, match="empty axis"):
+        kernels.mean_outer(np.zeros((0, 2)), np.zeros((0, 3)))
+    with pytest.raises(ShapeMismatch, match="atom counts differ: 4 vs 5"):
+        kernels.mean_outer(np.zeros((4, 2)), np.zeros((5, 2)))
 
 
 # ---------------------------------------------------------------- gram
@@ -341,6 +358,18 @@ def test_projector_row_singular_rows():
     U = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(SingularRowGram):
         kernels.projector_row(U)
+    with pytest.raises(InvalidEnsemble, match="2-D"):
+        kernels.projector_row(np.ones(3))
+
+
+def test_projector_stochastic_guards():
+    Y = np.random.default_rng(8).standard_normal((16, 2))
+    with pytest.raises(ShapeMismatch, match="atom counts differ: 16 vs 15"):
+        kernels.projector_stochastic(Y, np.ones(15))
+    dependent = np.column_stack([Y[:, 0], 2.0 * Y[:, 0]])
+    with pytest.raises(SingularGram) as err:
+        kernels.projector_stochastic(dependent, np.ones(16))
+    assert err.value.report.inverse is None
 
 
 def test_projector_stochastic_fixes_span_members():
@@ -488,6 +517,10 @@ def test_picard_delta_n_matches_level_norms():
     assert math.isclose(d0, kernels.picard_delta(2, 1.5, 1.0, 6, 2.0), rel_tol=1e-15)
     seq = [kernels.picard_delta_n(n, 2, 6, 2.0, 2.25, 1.0) for n in range(6)]
     assert all(a > b for a, b in zip(seq, seq[1:]))
+    with pytest.raises(InvalidBoundInput, match="non-negative integer"):
+        kernels.picard_delta_n(-1, 2, 6, 2.0, 2.25, 1.0)
+    with pytest.raises(InvalidBoundInput, match="level norms must be positive"):
+        kernels.picard_delta_n(0, 2, 6, 2.0, 0.0, 0.0)
 
 
 def test_stability_bound_frozen_values():
@@ -496,6 +529,11 @@ def test_stability_bound_frozen_values():
     assert math.isclose(kernels.stability_bound_M(1.0, 1.0, 1.0), 3630.859141434616, rel_tol=1e-12)
     # M(T=1, E=0, C=1) = 6 e^6
     assert math.isclose(kernels.stability_bound_M(1.0, 0.0, 1.0), 6.0 * math.exp(6.0), rel_tol=1e-15)
+
+
+def test_stability_bound_rejects_a_negative_horizon():
+    with pytest.raises(InvalidBoundInput, match="T must be a non-negative"):
+        kernels.stability_bound_M(-1.0, 1.0, 1.0)
 
 
 def test_stability_bound_saturates_to_inf():

@@ -1,12 +1,17 @@
 """Builtin model catalogue: closed-form checks and declared-constant probes."""
 
+import dataclasses
+import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from dosde import kernels
-from dosde.errors import BadParams, InvalidEnsemble, UnknownModel
+from dosde.errors import AssumptionViolated, BadParams, InvalidEnsemble, UnknownModel
 from dosde.integrators import DoState
 from dosde.models import (
     builtin,
@@ -42,11 +47,36 @@ def test_bad_params_rejected():
     ("mode_crossing", {"t_star": -math.inf}),
     ("additive_floor", {"alpha": math.nan}),
     ("additive_floor", {"sigma": "0.5"}),
+    ("linear_lowrank", {"lambdas": ((-1.0,), (-1.0, -2.0))}),  # ragged
 ])
 def test_non_finite_parameters_rejected(name, params):
     key = next(iter(params))
     with pytest.raises(BadParams, match="%s: %s must be finite reals" % (name, key)):
         builtin(name, **params)
+
+
+@pytest.mark.parametrize("name, params, needle", [
+    ("ou", {"d": 0}, "d must be a positive integer"),
+    ("ou", {"sigma": -0.5}, "need kappa > 0 and sigma >= 0"),
+    ("gbm_clipped", {"d": 0}, "d must be a positive integer"),
+    ("gbm_clipped", {"sigma": -0.2}, "need sigma >= 0 and clip > 0"),
+    ("gbm_clipped", {"clip": 0.0}, "need sigma >= 0 and clip > 0"),
+    ("additive_floor", {"d": 0}, "d must be a positive integer"),
+    ("additive_floor", {"alpha": -0.25}, "need alpha >= 0 and sigma > 0"),
+    ("additive_floor", {"sigma": 0.0}, "need alpha >= 0 and sigma > 0"),
+    ("linear_lowrank", {"sigma_b": (0.5, 0.5, 0.5)}, "sigma_b length must match"),
+])
+def test_out_of_range_parameters_rejected(name, params, needle):
+    with pytest.raises(BadParams, match="%s: %s" % (name, needle)):
+        builtin(name, **params)
+
+
+def test_linear_lowrank_takes_one_noise_scale_per_mode():
+    model = builtin("linear_lowrank", lambdas=(-0.5, -2.0), sigma_b=(0.5, 2.0), d=4)
+    assert model.params["sigma_b"] == (0.5, 2.0)
+    B = model.diffusion(0.0, np.zeros((1, 4)))
+    assert np.allclose(np.linalg.norm(B, axis=0), [0.5, 2.0], rtol=1e-15)
+    assert model.C_lgb == 4.25  # max(|lambda|^2, 0.5^2 + 2^2)
 
 
 def test_every_builtin_has_consistent_shapes():
@@ -129,12 +159,23 @@ def test_declared_constants_hold_on_probe_box():
 
 def test_validate_assumptions_flags_lies():
     # an OU model with an understated Lipschitz constant must be caught
-    from dosde.errors import AssumptionViolated
-
     model = builtin("ou", kappa=4.0, sigma=0.1, d=2)
     object.__setattr__(model, "C_Lip", 1.0)
     with pytest.raises(AssumptionViolated):
         validate_assumptions(model, n_probe=256, seed=2)
+
+
+def test_validate_assumptions_guards():
+    model = builtin("ou", kappa=1.0, sigma=0.5, d=2)
+    with pytest.raises(BadParams, match="hi > lo"):
+        validate_assumptions(model, box=(1.0, 1.0))
+    blowup = dataclasses.replace(model, drift=lambda t, x: np.full_like(x, np.inf))
+    with pytest.raises(AssumptionViolated, match="non-finite coefficients"):
+        validate_assumptions(blowup, n_probe=4)
+    # b b^T = 0.25 I, so a declared floor of 1 is not met
+    overstated = dataclasses.replace(model, sigma_B=1.0)
+    with pytest.raises(AssumptionViolated, match="noise floor sigma_B=1 not met"):
+        validate_assumptions(overstated, n_probe=16)
 
 
 # ---------------------------------------------------------------- initial data
@@ -191,9 +232,44 @@ def test_default_initial_needs_at_least_R_atoms(name):
         default_initial(model, N=2, R=3, seed=0)
 
 
+def test_default_initial_rank_is_at_most_d():
+    model = builtin("ou", d=2)
+    with pytest.raises(BadParams, match="need 1 <= R <= d, got R=3, d=2"):
+        default_initial(model, N=16, R=3, seed=0)
+
+
 def test_default_initial_linear_lowrank_needs_matching_rank():
     model = builtin("linear_lowrank")
     init = default_initial(model, N=64, R=2, seed=0)
     assert np.array_equal(init.U, model.basis)
     with pytest.raises(BadParams):
         default_initial(model, N=64, R=3, seed=0)
+
+
+def test_mode_crossing_initial_datum_does_not_depend_on_blas_threads():
+    # xi is normalised by an atom-axis sum; one left to a BLAS dot is split
+    # across threads and changes its last bits at this N.
+    script = (
+        "import hashlib, dosde\n"  # dosde loads before numpy for DOSDE_THREADS
+        "from dosde import models\n"
+        "model = models.builtin('mode_crossing', d=4)\n"
+        "Y = models.default_initial(model, 100000, 2).Y\n"
+        "print(hashlib.sha256(Y.tobytes()).hexdigest())\n"
+    )
+
+    def digest(threads):
+        env = {
+            k: v
+            for k, v in os.environ.items()
+            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        }
+        env["DOSDE_THREADS"] = str(threads)
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    one = digest(1)
+    assert one == digest(2)
+    model = builtin("mode_crossing", d=4)
+    assert one == hashlib.sha256(default_initial(model, 100000, 2).Y.tobytes()).hexdigest()

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from dosde import paths
 from dosde.cli import _log_simd
+from dosde.errors import InvalidEnsemble
 from dosde.integrators import integrate
 from dosde.models import builtin, default_initial
 
@@ -79,6 +80,17 @@ def test_rejects_bad_arguments():
         paths.generate(0, -1, 1e-3, 4, 1)
     with pytest.raises(Exception):
         paths.generate(0, 4, 0.0, 4, 1)
+
+
+@pytest.mark.parametrize("N, m, level, needle", [
+    (0, 1, 0, "N and m must be positive integers"),
+    (4.0, 1, 0, "N and m must be positive integers"),
+    (4, 0, 0, "N and m must be positive integers"),
+    (4, 1, -1, "level must be a non-negative integer"),
+])
+def test_rejects_bad_sizes_and_levels(N, m, level, needle):
+    with pytest.raises(InvalidEnsemble, match=needle):
+        paths.generate(0, 4, 1e-3, N, m, level=level)
 
 
 def _uniforms(seed, step, n):
