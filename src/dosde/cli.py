@@ -192,56 +192,41 @@ class _ComparedPair:
     """Both compared schemes on one level's grid, advanced a window at a
     time by one ``integrate`` call each.
 
-    Only the current states are kept.  Records pair up in order as they
-    are made: the first scheme's records of a window wait for the
-    second's, and a longer run's extra records go unpaired.  ``sup`` is
-    the sup over paired records of their L2 distance, and ``scale`` the
-    sup of the first scheme's ensemble L2 norm there.  A run that halted
-    is not advanced again; ``outcomes`` holds each run's last window's
-    trajectory, for ``_exit_status``.
+    Only the current states are kept between windows.  A window's
+    records pair up in order, and a longer run's extra records go
+    unpaired.  ``sup`` is the sup over paired records of their L2
+    distance, and ``scale`` the sup of the first scheme's ensemble L2
+    norm there.  A run that halted is not advanced again; ``halted``
+    holds its trajectory, for ``_exit_status``.
     """
 
     def __init__(self, cfg, model, initial, dt):
         self.cfg, self.model, self.dt = cfg, model, dt
         self.states = [initial, initial]
-        self.outcomes = [None, None]
+        self.halted = []
         self.sup = self.scale = 0.0
 
     def advance(self, t_end, path):
-        held = []
-        self._run(0, self.cfg.scheme, t_end, path, held.append)
-        partners = iter(held)
+        schemes = (self.cfg.scheme, self.cfg.compare_scheme_b)
+        records = [self._run(i, scheme, t_end, path) for i, scheme in enumerate(schemes)]
+        for sa, sb in zip(*records):
+            xa = sa.product()
+            self.sup = max(self.sup, diagnostics.l2_distance(xa, sb.product()))
+            self.scale = max(self.scale, math.sqrt(kernels.mean_sq_norm(xa)))
 
-        def pair(sb):
-            sa = next(partners, None)
-            if sa is not None:
-                xa = sa.product()
-                self.sup = max(self.sup, diagnostics.l2_distance(xa, sb.product()))
-                self.scale = max(self.scale, math.sqrt(kernels.mean_sq_norm(xa)))
-
-        self._run(1, self.cfg.compare_scheme_b, t_end, path, pair)
-
-    def _run(self, i, scheme, t_end, path, record):
+    def _run(self, i, scheme, t_end, path):
+        """Advance scheme ``i`` to ``t_end`` and return the window's new records."""
         start = self.states[i]
         if start is None:
-            return
+            return []
+        run = integrators.integrate(self.model, start, scheme, t_end, self.dt, path,
+                                    R=self.cfg.rank)
+        self.states[i] = run.states[-1] if run.completed else None
+        if not run.completed:
+            self.halted.append(run)
         # A resumed window's first record is the last one of the window
         # before, already seen.
-        skip = start.t > 0
-        last = None
-
-        def on_record(state):
-            nonlocal skip, last
-            last = state
-            if skip:
-                skip = False
-            else:
-                record(state)
-
-        run = integrators.integrate(self.model, start, scheme, t_end, self.dt, path,
-                                    R=self.cfg.rank, on_record=on_record)
-        self.states[i] = last if run.completed else None
-        self.outcomes[i] = run
+        return run.states[1:] if start.t > 0 else run.states
 
 
 # A sup error within this many machine epsilons of the ensemble's L2 norm
@@ -256,14 +241,14 @@ def cmd_compare(cfg):
     Every level resolves the same finest grid (common noise).
     ``paths.lockstep`` draws that grid's normals once, in windows of
     whole coarsest steps, and each window advances every level's two
-    runs by one ``integrate`` call each.  Memory holds one window and
-    the current states, whatever t_end.
+    runs by one ``integrate`` call each.  Memory holds one window, its
+    records and the current states, whatever t_end.
     """
     model, initial = _setup(cfg)
     levels = cfg.compare_levels
     n0 = integrators.grid_steps(cfg.t_end, cfg.dt)
     pairs = [_ComparedPair(cfg, model, initial, cfg.dt / (1 << lvl)) for lvl in range(levels)]
-    # A window also bounds the first scheme's records it holds, d values per atom.
+    # A window also bounds the records it holds, d values per atom and scheme.
     windows = paths.lockstep(cfg.seed, n0, cfg.dt, cfg.n_atoms, model.m, levels, width=model.d)
     for stop, ladder in windows:
         # The last window ends at t_end itself, which integrate checks
@@ -271,15 +256,14 @@ def cmd_compare(cfg):
         t_stop = cfg.t_end if stop == n0 else stop * cfg.dt
         for pair, level_path in zip(pairs, ladder):
             pair.advance(t_stop, level_path)
-    sup_errors = [pair.sup for pair in pairs]
     resolved = [pair.sup > _ROUNDOFF_EPS * np.finfo(float).eps * pair.scale for pair in pairs]
     rows = []
-    for lvl, sup in enumerate(sup_errors):
+    for lvl, pair in enumerate(pairs):
         rate = float("nan")
         if lvl > 0 and resolved[lvl - 1] and resolved[lvl]:
-            rate = float(np.log2(sup_errors[lvl - 1] / sup))
-        rows.append((lvl, cfg.dt / (1 << lvl), sup, rate))
-    code = _exit_status(cfg.t_end, *(run for pair in pairs for run in pair.outcomes))
+            rate = float(np.log2(pairs[lvl - 1].sup / pair.sup))
+        rows.append((lvl, pair.dt, pair.sup, rate))
+    code = _exit_status(cfg.t_end, *(run for pair in pairs for run in pair.halted))
     return code, [("error_report.csv", "level,dt,sup_error,rate_vs_prev", rows)], model, None
 
 

@@ -165,14 +165,9 @@ def validate_config(cfg):
             "unknown parameters for %s: %s" % (cfg.model_name, ", ".join(sorted(extra))),
             field="model." + sorted(extra)[0],
         )
-    if cfg.scheme not in _SCHEMES:
-        raise ValidationError(
-            "scheme must be one of %s" % (", ".join(_SCHEMES)), field="run.scheme"
-        )
-    if cfg.compare_scheme_b not in _SCHEMES:
-        raise ValidationError(
-            "scheme must be one of %s" % (", ".join(_SCHEMES)), field="compare.scheme_b"
-        )
+    for name, scheme in (("run.scheme", cfg.scheme), ("compare.scheme_b", cfg.compare_scheme_b)):
+        if scheme not in _SCHEMES:
+            raise ValidationError("scheme must be one of %s" % ", ".join(_SCHEMES), field=name)
     for name, attr in _KEYS.items():
         v, kind = getattr(cfg, attr), _kind(attr)
         if kind is int and attr != "seed" and v < 1:

@@ -175,8 +175,10 @@ def projector_lipschitz_harness(n_trials=1000, N=32, d=8, R=3, seed=0):
     F -> F P_U + P_V F - P_V F P_U on the product space.  That projector
     is I - (I - P_V) x (I - P_U), and for equal-rank pairs its
     difference has the exact 2-norm sqrt(n_u^2 + n_v^2 - n_u^2 n_v^2),
-    where n_u and n_v are the one-sided norms, so no (N d) x (N d)
-    matrix is built.
+    where n_u and n_v are the one-sided norms.  Each one-sided norm is
+    taken from the orthonormal bases (``_projector_distance``): Q and
+    Qhat on the U side, Phi / sqrt(N) and Phihat / sqrt(N) on the V
+    side.  No N x N or (N d) x (N d) matrix is built.
     """
     max_u = 0.0
     max_v = 0.0
@@ -193,12 +195,9 @@ def projector_lipschitz_harness(n_trials=1000, N=32, d=8, R=3, seed=0):
         assert dist < sigma_min / R
         fac = kernels.second_moment_svd(X)
         fac_h = kernels.second_moment_svd(Xhat)
-        Q, Qh = fac.Q[:, :R], fac_h.Q[:, :R]
-        Phi, Phih = fac.phis[:, :R], fac_h.phis[:, :R]
-        P_U, P_Uh = Q @ Q.T, Qh @ Qh.T
-        P_V, P_Vh = Phi @ Phi.T / N, Phih @ Phih.T / N
-        n_u = float(np.linalg.norm(P_U - P_Uh, 2))
-        n_v = float(np.linalg.norm(P_V - P_Vh, 2))
+        n_u = _projector_distance(fac.Q[:, :R], fac_h.Q[:, :R])
+        root_n = math.sqrt(N)
+        n_v = _projector_distance(fac.phis[:, :R] / root_n, fac_h.phis[:, :R] / root_n)
         n_c = math.sqrt(n_u * n_u + n_v * n_v - n_u * n_u * n_v * n_v)
         allowed = (R / sigma_min) * dist
         max_u = max(max_u, n_u / allowed)
@@ -207,6 +206,13 @@ def projector_lipschitz_harness(n_trials=1000, N=32, d=8, R=3, seed=0):
     return LipschitzHarnessReport(
         max_ratio_U=max_u, max_ratio_V=max_v, max_ratio_combined=max_c, n_trials=n_trials
     )
+
+
+def _projector_distance(A, B):
+    """||A A^T - B B^T||_2 for A and B with equally many orthonormal
+    columns, taken as ||B - A (A^T B)||_2: both are the sine of the
+    largest principal angle between their spans."""
+    return float(np.linalg.norm(B - A @ (A.T @ B), 2))
 
 
 def _planted_rank_R(rng, N, d, R):

@@ -316,7 +316,6 @@ def integrate(
     record_stride=1,
     policy=None,
     R=None,
-    on_record=None,
 ):
     """Drive one scheme from the initial state's time to t_end on a fixed grid.
 
@@ -333,8 +332,8 @@ def integrate(
         Supplies increments one step at a time (``path.increment(k)``
         for k = k0, k0 + 1, ..., streamed in bounded chunks); must cover
         round(t_end/dt) steps with matching atom and channel counts.
-    record_stride : a state is recorded at every global step k that is a
-        multiple of it, and at the start and the end.
+    record_stride : a positive int; a state is recorded at every global
+        step k that is a multiple of it, and at the start and the end.
     policy : optional rank/restart hook ("do" only), the one judge of an
         explosion, with three methods: ``attach(state)`` starts it on the
         starting state; ``observe(report, state) -> bool`` sees every step
@@ -342,9 +341,10 @@ def integrate(
         exploded; ``restart(state) -> (DoState | None, RankEvent)``
         refactors at the event and re-attaches itself to the new state.
     R : rank for the ambient scheme (defaults to the initial rank).
-    on_record : optional callable that receives each recorded state, the
-        starting one included, in place of ``traj.states`` (which then
-        stays empty); ``traj.times`` is kept either way.
+
+    The records are ``traj.states``.  A caller that must bound their
+    memory runs window by window, each run resuming from the last one's
+    ``traj.states[-1]``, as ``compare`` does.
 
     Without a policy only a singular Gram (SingularGram) explodes; the
     run records a halt event and returns with ``completed=False``.  With
@@ -363,6 +363,8 @@ def integrate(
         raise ShapeMismatch("path has %d channels, model needs %d" % (path.m, model.m))
     if abs(path.dt - dt) > 1e-12 * max(1.0, dt):
         raise ShapeMismatch("path dt=%g differs from requested dt=%g" % (path.dt, dt))
+    if type(record_stride) is not int or record_stride < 1:
+        raise ShapeMismatch("record_stride must be a positive int, got %r" % (record_stride,))
     if policy is not None and scheme != "do":
         raise ShapeMismatch("a rank policy needs the 'do' scheme, got %r" % scheme)
     k = round(initial.t / dt) if math.isfinite(initial.t) else -1
@@ -397,10 +399,8 @@ def integrate(
 
     # Steppers return fresh states, so snapshots need no copy.
     traj = Trajectory(
-        scheme=scheme, times=[t0], states=[], diag=[], events=[], completed=True
+        scheme=scheme, times=[t0], states=[state], diag=[], events=[], completed=True
     )
-    record = traj.states.append if on_record is None else on_record
-    record(state)
     if policy is not None:
         policy.attach(state)
 
@@ -429,5 +429,5 @@ def integrate(
                 break
         if not singular and (k % record_stride == 0 or k == n_steps):
             traj.times.append(state.t)
-            record(state)
+            traj.states.append(state)
     return traj

@@ -32,9 +32,11 @@ path refills the window with the chunk that holds k when k falls
 outside it; inside a chunk each step is coarsened in the same pairwise
 order as a whole tensor would be, so every increment has the same bits
 however it is reached.  Inside a chunk the normals are made in blocks
-of ``_BLOCK`` consecutive draws, uniform to scaled normal while the
-block is in cache; a normal's bits depend only on its uniform, so the
-blocking never shows.  Memory stays bounded for any step count.
+of ``_BLOCK`` consecutive draws while the block is in cache: uniform
+to normal by the one AS241 routine ``inverse_normal_cdf`` runs, then
+one multiply by the fine step's sqrt(dt).  A normal's bits depend only
+on its uniform, so the blocking never shows.  Memory stays bounded for
+any step count.
 
 ``coarsen`` is the one pairwise-sum rule: every coarse increment, drawn
 at a level or built from a finer path, is made by its adds.
@@ -117,22 +119,19 @@ def inverse_normal_cdf(u):
     read as 1 - 2^-53, the largest double below it.  This is Wichura's
     AS241 with the coefficients and operation order of
     ``statistics.NormalDist.inv_cdf``, so central entries
-    (|u - 1/2| <= 0.425) are its bits exactly.  The degree-7 central
-    rational runs on every entry; the tail rationals only on the tail
-    entries, gathered and scattered back.
+    (|u - 1/2| <= 0.425) are its bits exactly.
     """
-    flat = u.reshape(-1)
-    tail, u_tail = _central_quantiles(flat, 1.0, np.empty((3, flat.size)))
-    flat[tail] = _tail_quantiles(u_tail, 1.0)
+    _quantiles(u.reshape(-1), np.empty((3, u.size)))
     return u
 
 
-def _central_quantiles(u, scale, work):
-    """Overwrite the 1-d ``u`` with ``scale`` times AS241's central rational,
-    using the rows of ``work``, a float64 (3, >= u.size) array, as scratch.
+def _quantiles(u, work):
+    """Overwrite the 1-d ``u`` with AS241's quantiles, using the rows of
+    ``work``, a float64 (3, >= u.size) array, as scratch.
 
-    Returns the positions of the tail entries (|u - 1/2| > 0.425), which
-    this leaves wrong, and their u.
+    The degree-7 central rational runs on every entry; the tail
+    rationals only on the tail entries (|u - 1/2| > 0.425), gathered
+    and scattered back.
     """
     q, r, num = work[:, :u.size]
     np.subtract(u, 0.5, q)
@@ -141,21 +140,14 @@ def _central_quantiles(u, scale, work):
     # r < 0 is exactly |q| > 0.425: both tests flip at the same point of
     # the 2^-54 grid that holds every u - 0.5 near 0.425.
     tail = (r < 0.0).nonzero()[0]
-    u_tail = u[tail]
+    u_tail = np.minimum(u[tail], 1.0 - 2.0**-53)  # u = 1, the top draw, has no quantile
     _horner(_CENTRAL[0], r, num)
     den = _horner(_CENTRAL[1], r, u)
     num *= q
     np.divide(num, den, u)
-    u *= scale
-    return tail, u_tail
-
-
-def _tail_quantiles(u, scale):
-    """``scale`` times AS241's tail quantiles at ``u``, all with
-    |u - 1/2| > 0.425."""
-    u = np.minimum(u, 1.0 - 2.0**-53)  # u = 1, the top draw, has no quantile
-    r = np.subtract(1.0, u)
-    np.minimum(u, r, out=r)
+    # The tails: r = sqrt(-log min(u, 1 - u)) on the gathered entries.
+    r = np.subtract(1.0, u_tail)
+    np.minimum(u_tail, r, out=r)
     np.log(r, r)
     np.negative(r, r)
     np.sqrt(r, r)
@@ -167,9 +159,7 @@ def _tail_quantiles(u, scale):
     num[far] = _horner(_FAR[0], r_far, np.empty_like(r_far))
     den[far] = _horner(_FAR[1], r_far, np.empty_like(r_far))
     num /= den
-    np.copysign(num, u - 0.5, num)
-    num *= scale
-    return num
+    u[tail] = np.copysign(num, u_tail - 0.5, num)
 
 
 def _draw_normals(seed, first_step, out, scale):
@@ -177,9 +167,8 @@ def _draw_normals(seed, first_step, out, scale):
     ``scale`` times the normals of fine steps first_step, first_step + 1, ...
 
     Consecutive draws are taken ``_BLOCK`` at a time, across step
-    boundaries, and made normals while they are in cache: the central
-    rational on the whole block, then the tail rationals on its tail
-    entries.
+    boundaries, made normals by ``inverse_normal_cdf``'s routine while
+    they are in cache, and the block multiplied by ``scale`` once.
     """
     flat = out.reshape(-1)
     per_step = out[0].size
@@ -202,8 +191,8 @@ def _draw_normals(seed, first_step, out, scale):
         # u = (floor(w / 2^11) + 1/2) 2^-53, rounded to nearest even
         # (so the top draw gives u = 1).
         block += 2.0**-54
-        tail, u_tail = _central_quantiles(block, scale, work)
-        block[tail] = _tail_quantiles(u_tail, scale)
+        _quantiles(block, work)
+        block *= scale
 
 
 def _chunk_steps(per_step):

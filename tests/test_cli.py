@@ -686,7 +686,7 @@ _GOLDEN_DIGESTS = {
     },
     "lipschitz-harness": {
         "harness.csv":
-            "a73e0f73b3e6d2265ca3abd96b536e023cd452afbefd32e9404c91b37ea71d6c",
+            "c89bdf316c8c54e249eb72a88e3c4f0fb7e6b920efac8234658389ad9a6dc6b1",
     },
     "picard-demo": {
         "picard.csv":
@@ -830,6 +830,35 @@ def test_compare_memory_does_not_grow_with_t_end(name, tmp_path, monkeypatch):
         finally:
             tracemalloc.stop()
     assert abs(peaks[2] - peaks[1]) < 0.1 * peaks[1]
+
+
+def test_compare_at_the_factored_benchmark_config_stays_small(tmp_path):
+    # The factored benchmark workload's compare: a window holds both
+    # schemes' records, and only halted runs are kept past it.
+    import tracemalloc
+
+    from dosde import cli
+
+    cfg = _write(tmp_path, """
+model.name = additive_floor
+run.scheme = do
+compare.scheme_b = ambient
+compare.levels = 3
+run.n_atoms = 1024
+run.dim = 32
+run.rank = 4
+run.dt = 0.01
+run.t_end = 0.15
+run.seed = 0
+""")
+    for _ in range(2):  # the first run imports what compare needs
+        tracemalloc.start()
+        try:
+            assert cli.main(["compare", cfg, "--out", str(tmp_path / "out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 6 << 20
 
 
 def test_compare_rejects_a_t_end_off_the_grid(tmp_path, capsys):

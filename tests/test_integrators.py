@@ -367,7 +367,7 @@ def test_a_do_run_builds_no_atoms_by_dimension_array():
     path = paths.generate(0, 3, 0.01, N, model.m)
     tracemalloc.start()
     try:
-        integrate(model, init, "do", 0.03, 0.01, path, on_record=lambda state: None)
+        integrate(model, init, "do", 0.03, 0.01, path, record_stride=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -548,21 +548,16 @@ def test_noise_forms_match_the_dense_oracle(case):
             assert np.allclose(Y_it, Y_dense, atol=1e-13)
 
 
-@pytest.mark.parametrize("scheme", ["do", "ambient", "reference"])
-def test_on_record_receives_the_recorded_states(scheme):
+@pytest.mark.parametrize("stride", [0, -2, 2.5, True])
+def test_integrate_rejects_a_stride_that_is_not_a_positive_int(stride, monkeypatch):
+    drawn = []
+    monkeypatch.setattr(paths, "_draw_normals", lambda *args: drawn.append(args))
     model = builtin("ou", d=3)
     init = default_initial(model, N=16, R=2, seed=0)
-    path = paths.generate(0, 23, 1e-2, 16, model.m)
-    kept = integrate(model, init, scheme, 0.23, 1e-2, path, record_stride=5, R=2)
-    seen = []
-    traj = integrate(
-        model, init, scheme, 0.23, 1e-2, path, record_stride=5, R=2, on_record=seen.append
-    )
-    assert traj.states == []
-    assert traj.times == kept.times == [0.0, 0.05, 0.1, 0.15, 0.2, 0.23]
-    assert [s.t for s in seen] == kept.times
-    for a, b in zip(seen, kept.states, strict=True):
-        assert a.product().tobytes() == b.product().tobytes()
+    path = paths.generate(0, 5, 1e-2, 16, model.m)
+    with pytest.raises(ShapeMismatch, match="record_stride"):
+        integrate(model, init, "do", 0.05, 1e-2, path, record_stride=stride)
+    assert drawn == []
 
 
 @settings(max_examples=30, deadline=None)
