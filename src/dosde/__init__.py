@@ -5,8 +5,9 @@ components) or factored as X_i = U^T Y_i with a shared orthonormal-row
 basis U (R x d) and per-atom coefficients Y (N x R).  The package
 provides the ensemble linear algebra, builtin test models, deterministic
 Brownian paths, full/factored/ambient Euler-Maruyama steppers, a local
-Picard solver, explosion monitoring with rank truncation/restart, and
-diagnostics for every bound the integrators are expected to honor.
+Picard solver, explosion monitoring with rank truncation/restart, the
+ensemble L2 distance, and a harness that certifies the projector
+perturbation bounds.
 
 DOSDE_THREADS=n pins the BLAS thread pools (OMP/OPENBLAS/MKL, unless
 already set) before any submodule imports numpy; it takes effect when

@@ -56,10 +56,6 @@ class NoFloorDeclared(DosdeError):
     """Model declares no uniform noise floor (sigma_B = 0)."""
 
 
-class InsufficientData(DosdeError):
-    """A regression-based estimator has too few usable points."""
-
-
 class ParseError(DosdeError):
     """Config text could not be parsed; carries a 1-based line number."""
 

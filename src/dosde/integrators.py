@@ -340,7 +340,8 @@ def integrate(
         report (and the state it left) and says whether the step
         exploded; ``restart(state) -> (DoState | None, RankEvent)``
         refactors at the event and re-attaches itself to the new state.
-    R : rank for the ambient scheme (defaults to the initial rank).
+    R : an int rank in 1..d for the ambient scheme (defaults to the
+        initial rank).
 
     The records are ``traj.states``.  A caller that must bound their
     memory runs window by window, each run resuming from the last one's
@@ -390,8 +391,9 @@ def integrate(
     if scheme == "ambient":
         if R is None and factored:
             R = initial.rank
-        if R is None:
-            raise ShapeMismatch("the 'ambient' scheme needs a rank R")
+        d = state.X.shape[1]
+        if type(R) is not int or not 1 <= R <= d:
+            raise ShapeMismatch("the 'ambient' scheme needs a rank R in 1..%d, got %r" % (d, R))
         step = functools.partial(step_ambient_dlra, R=R)
     n_atoms = len(state.Y if scheme == "do" else state.X)
     if path.N != n_atoms:

@@ -389,6 +389,8 @@ def default_initial(model, N, R, seed=0):
     basis (R must match).  mode_crossing: the planted collinearity
     ensemble [xi, 1] with xi exactly centered and normalized.
     """
+    if not isinstance(seed, int):
+        raise BadParams("seed must be an integer, got %r" % (seed,))
     if not (isinstance(N, int) and N >= 2):
         raise BadParams("need at least 2 atoms, got %r" % (N,))
     if N < R:

@@ -341,6 +341,8 @@ def generate(seed, n_steps, dt, N, m, level=0):
         n_steps * 2**level steps of size dt / 2**level and are summed
         pairwise back up to the requested grid.
     """
+    if not isinstance(seed, int):
+        raise InvalidEnsemble("seed must be an integer, got %r" % (seed,))
     if not (isinstance(n_steps, int) and n_steps >= 1):
         raise InvalidEnsemble("n_steps must be a positive integer, got %r" % (n_steps,))
     if not (isinstance(N, int) and N >= 1 and isinstance(m, int) and m >= 1):

@@ -67,6 +67,8 @@ def picard_local_solve(model, U0, Y0, path, n_iters=7):
     iterate and every later one, and the failure of the earliest iterate
     is raised at the end, as that sweep order would.
     """
+    if type(n_iters) is not int or n_iters < 1:
+        raise ShapeMismatch("n_iters must be a positive int, got %r" % (n_iters,))
     # Row-major whatever the caller passed: a sum of squares adds in
     # memory order.
     U0 = np.ascontiguousarray(U0, dtype=float)

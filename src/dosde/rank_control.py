@@ -117,12 +117,10 @@ class RestartPolicy:
         y_norm_sq = kernels.mean_sq_norm(state.Y)
         finite = math.isfinite(base_inv)
         self.gamma_cap = self.cap_factor * base_inv if finite else math.inf
+        # a singular starting Gram leaves the window undefined
         self._window = (
-            state.rank,
-            state.U.shape[1],
-            self.model.C_lgb,
-            y_norm_sq,
-            base_inv**2 if finite else math.inf,
+            (state.rank, state.U.shape[1], self.model.C_lgb, y_norm_sq, base_inv**2)
+            if finite else None
         )
         # series -> (base value, next integer level above it)
         self._levels = {"inv_norm": (base_inv, 1), "y_norm": (math.sqrt(y_norm_sq), 1)}
@@ -135,18 +133,20 @@ class RestartPolicy:
         ensemble norm sqrt(E|Y|^2) of ``state``.  A non-finite value
         crosses straight to level n_max.  Each crossing is tagged with
         the window length delta(n), which is logged only and never gates
-        the stepper.
+        the stepper; it is NaN while the segment's starting Gram is
+        singular.
         """
         inv_norm = report.gram_inv_frobenius
         y_norm = math.sqrt(kernels.mean_sq_norm(state.Y))
         for which, value in (("inv_norm", inv_norm), ("y_norm", y_norm)):
             base, first = self._levels[which]
             if math.isfinite(value):
-                top = min(int(math.floor(value - base)), self.n_max)
+                # an infinite base is never crossed by a finite value
+                top = min(math.floor(max(value - base, 0.0)), self.n_max)
             else:
                 top = self.n_max
             for n in range(first, top + 1):
-                delta = kernels.picard_delta_n(n, *self._window)
+                delta = kernels.picard_delta_n(n, *self._window) if self._window else math.nan
                 self.crossings.append(Crossing(n=n, t=report.t, which=which, delta_n=delta))
             self._levels[which] = (base, max(first, top + 1))
         return not math.isfinite(inv_norm) or inv_norm >= self.gamma_cap

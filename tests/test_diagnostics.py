@@ -1,4 +1,4 @@
-"""Estimators and certification harnesses."""
+"""The ensemble L2 distance and the projector perturbation harness."""
 
 import math
 import tracemalloc
@@ -7,18 +7,13 @@ import numpy as np
 import pytest
 
 from dosde import kernels, paths
-from dosde.errors import InsufficientData, InvalidEnsemble, ShapeMismatch
-from dosde.integrators import integrate
-from dosde.models import builtin, default_initial
+from dosde.errors import ShapeMismatch
 from dosde.diagnostics import (
     _planted_rank_R,
     _projector_distance,
     _truncate_rank,
-    holder_estimator,
     l2_distance,
-    moment_estimator,
     projector_lipschitz_harness,
-    rotation_equivariance_check,
 )
 
 
@@ -29,100 +24,6 @@ def test_l2_distance_hand_value():
     assert l2_distance(A, B) == pytest.approx(math.sqrt(4.5), rel=1e-15)
     with pytest.raises(ShapeMismatch):
         l2_distance(A, np.zeros((3, 2)))
-
-
-def _short_run(scheme="do", N=64, n=50):
-    model = builtin("ou", kappa=1.0, sigma=0.5, d=4)
-    init = default_initial(model, N=N, R=2, seed=3)
-    path = paths.generate(9, n, 1e-3, N, model.m)
-    return model, init, path, integrate(model, init, scheme, n * 1e-3, 1e-3, path)
-
-
-def test_equivariance_identity_is_exact():
-    model, init, path, _ = _short_run()
-    rep = rotation_equivariance_check(model, init.U, init.Y, np.eye(2), path, 0.05, 1e-3)
-    assert rep.sup_product_defect == 0.0
-    assert rep.sup_U_defect == 0.0
-    assert rep.sup_Y_defect == 0.0
-
-
-def test_equivariance_rejects_nonorthogonal():
-    model, init, path, _ = _short_run()
-    with pytest.raises(InvalidEnsemble):
-        rotation_equivariance_check(
-            model, init.U, init.Y, np.array([[1.0, 0.1], [0.0, 1.0]]), path, 0.05, 1e-3
-        )
-    with pytest.raises(ShapeMismatch):
-        rotation_equivariance_check(model, init.U, init.Y, np.eye(3), path, 0.05, 1e-3)
-
-
-def test_equivariance_proper_rotation_small_defect():
-    model, init, path, _ = _short_run()
-    c, s = math.cos(0.7), math.sin(0.7)
-    theta = np.array([[c, -s], [s, c]])
-    rep = rotation_equivariance_check(model, init.U, init.Y, theta, path, 0.05, 1e-3)
-    assert rep.sup_product_defect < 1e-12
-
-
-def test_moment_estimator_tracks_and_matches_product():
-    _, _, _, traj = _short_run()
-    ms = moment_estimator(traj, k=1)
-    assert ms.times.shape == ms.values.shape
-    assert ms.times[0] == 0.0
-    assert np.all(ms.values > 0)
-    # coefficient moments equal product moments: the basis is orthonormal
-    assert ms.xy_discrepancy < 1e-12
-    with pytest.raises(InvalidEnsemble):
-        moment_estimator(traj, k=0)
-
-
-def test_moment_estimator_on_a_full_state_run():
-    _, _, _, traj = _short_run("reference")
-    ms = moment_estimator(traj, k=2)
-    X = traj.states[-1].X
-    assert ms.values[-1] == pytest.approx(np.mean(np.sum(X**2, axis=1) ** 2), rel=1e-13)
-    assert ms.xy_discrepancy == 0.0
-    assert list(ms.times) == traj.times
-
-
-def test_moment_estimator_constant_on_frozen_dynamics():
-    # zero drift/diffusion via a crafted trajectory: reuse the initial
-    # state as every snapshot
-    _, init, _, traj = _short_run()
-    frozen = type(traj)(
-        scheme="do",
-        times=[0.0, 0.1],
-        states=[traj.states[0], traj.states[0]],
-        diag=[],
-        events=[],
-        completed=True,
-    )
-    ms = moment_estimator(frozen, k=2)
-    assert ms.values[0] == ms.values[1]
-
-
-def test_holder_estimator_on_brownian_like_run():
-    model = builtin("additive_floor")
-    N = 1024
-    init = default_initial(model, N=N, R=2, seed=9)
-    path = paths.generate(13, 500, 1e-3, N, model.m)
-    traj = integrate(model, init, "reference", 0.5, 1e-3, path)
-    fit = holder_estimator(traj, k=1)
-    assert 0.9 <= fit.slope <= 1.3
-    assert len(fit.gaps) >= 4
-
-
-def test_holder_estimator_guards():
-    model, init, path, traj = _short_run(n=50)
-    with pytest.raises(InsufficientData):
-        holder_estimator(traj, k=1, gaps=[1e-3])  # below the 4-step floor
-    with pytest.raises(InsufficientData):
-        holder_estimator(traj, k=1, gaps=[0.0375, 0.04, 0.0425, 0.045, 3.0])
-    short = type(traj)(
-        scheme="do", times=[0.0], states=[traj.states[0]], diag=[], events=[], completed=True
-    )
-    with pytest.raises(InsufficientData):
-        holder_estimator(short, k=1)
 
 
 def test_lipschitz_harness_small_batch():

@@ -229,6 +229,15 @@ def test_ambient_takes_its_rank_from_a_factored_start_only():
         integrate(model, FullState(t=0.0, X=init.product()), "ambient", 0.05, 1e-2, path)
 
 
+@pytest.mark.parametrize("R", [0, -1, 2.0, True, 5])
+def test_ambient_rejects_a_rank_that_is_not_an_int_in_1_to_d(R):
+    model = builtin("ou", d=4)
+    init = default_initial(model, N=64, R=2, seed=0)
+    path = paths.generate(0, 5, 1e-2, 64, model.m)
+    with pytest.raises(ShapeMismatch, match="needs a rank R in 1..4"):
+        integrate(model, init, "ambient", 0.05, 1e-2, path, R=R)
+
+
 def test_integrate_needs_factored_for_do():
     model = builtin("ou", d=2)
     X = np.random.default_rng(1).standard_normal((16, 2))

@@ -232,6 +232,12 @@ def test_default_initial_needs_at_least_R_atoms(name):
         default_initial(model, N=2, R=3, seed=0)
 
 
+@pytest.mark.parametrize("seed", [1.5, 1.0])
+def test_default_initial_rejects_a_seed_that_is_not_an_int(seed):
+    with pytest.raises(BadParams, match="seed must be an integer"):
+        default_initial(builtin("ou", d=4), N=16, R=2, seed=seed)
+
+
 def test_default_initial_rank_is_at_most_d():
     model = builtin("ou", d=2)
     with pytest.raises(BadParams, match="need 1 <= R <= d, got R=3, d=2"):

@@ -93,6 +93,12 @@ def test_rejects_bad_sizes_and_levels(N, m, level, needle):
         paths.generate(0, 4, 1e-3, N, m, level=level)
 
 
+@pytest.mark.parametrize("seed", [1.5, 1.0])
+def test_rejects_a_seed_that_is_not_an_int(seed):
+    with pytest.raises(InvalidEnsemble, match="seed must be an integer"):
+        paths.generate(seed, 4, 1e-3, 4, 1)
+
+
 def _uniforms(seed, step, n):
     """The first ``n`` uniforms of a fine step's stream, from its raw words."""
     raw = paths.philox(seed, step).random_raw(n)

@@ -104,6 +104,14 @@ def test_rejects_mismatched_inputs():
         picard_local_solve(model, init.U, init.Y, bad_path)
 
 
+@pytest.mark.parametrize("n_iters", [0, -1, 2.5, True])
+def test_rejects_a_sweep_count_that_is_not_a_positive_int(monkeypatch, n_iters):
+    model, init, path = _setup()
+    monkeypatch.setattr(picard, "_panel", None)  # no panel may run
+    with pytest.raises(ShapeMismatch, match="n_iters"):
+        picard_local_solve(model, init.U, init.Y, path, n_iters=n_iters)
+
+
 def test_singular_start_raises():
     model, init, path = _setup()
     Y_bad = np.zeros_like(init.Y)

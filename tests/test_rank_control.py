@@ -284,6 +284,24 @@ def test_restart_policy_refactors_rank_one_at_cap():
     assert halted is None and event.new_rank == 1
 
 
+def test_restart_policy_restarts_a_resumed_state_with_a_singular_gram():
+    # A resumed state (t > 0) may start with a singular Gram: the window
+    # is then undefined, logged as NaN, and the first step restarts.
+    model = builtin("ou", d=4)
+    init = default_initial(model, N=64, R=2, seed=3)
+    state = DoState(t=0.5, U=init.U, Y=init.Y[:, [0, 0]])
+    policy = RestartPolicy(model)
+    policy.attach(state)
+    assert policy.observe(StepReport(0.5, 0.0, 0.0, 2.0, 1.0), state) is False
+    assert policy.crossings == []
+    path = paths.generate(0, 60, 1e-2, 64, model.m)
+    policy = RestartPolicy(model)
+    traj = integrate(model, state, "do", 0.6, 1e-2, path, policy=policy)
+    assert traj.completed and traj.states[-1].rank == 1
+    assert [(e.t_event, e.old_rank, e.new_rank) for e in traj.events] == [(0.5, 2, 1)]
+    assert {math.isnan(c.delta_n) for c in policy.crossings if c.t == 0.5} == {True}
+
+
 @pytest.mark.parametrize("scheme", ["reference", "ambient"])
 def test_policy_needs_the_do_scheme(scheme):
     model = builtin("ou", d=4)
