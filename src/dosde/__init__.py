@@ -9,19 +9,11 @@ Picard solver, explosion monitoring with rank truncation/restart, the
 ensemble L2 distance, and a harness that certifies the projector
 perturbation bounds.
 
-DOSDE_THREADS=n pins the BLAS thread pools (OMP/OPENBLAS/MKL, unless
-already set) before any submodule imports numpy; it takes effect when
-dosde is imported before numpy, as the ``dosde`` script and
-``python -m dosde`` do.
+BLAS thread pools are sized by the standard variables (OMP_NUM_THREADS,
+OPENBLAS_NUM_THREADS, MKL_NUM_THREADS); outputs do not depend on them.
 """
 
-import os
-
-if os.environ.get("DOSDE_THREADS"):
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["DOSDE_THREADS"])
-
-from . import (  # noqa: E402  (the thread variables must be set first)
+from . import (
     cli,
     config,
     diagnostics,

@@ -315,40 +315,13 @@ def cmd_explosion_study(cfg):
 
 
 def _self_test():
-    """Fast invariant suite; returns 0 or 4."""
+    """Fast invariant suite on this install's numpy and BLAS: the engine's
+    runs and the CLI's wiring (closed forms are tier-1's); returns 0 or 4."""
     checks = []
 
     def check(name, ok):
         checks.append((name, ok))
         return ok
-
-    rep = kernels.gram(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    check("gram identity example", np.allclose(rep.gram, 0.5 * np.eye(2), atol=1e-15)
-          and rep.inverse is not None
-          and abs(rep.inv_frobenius - 2.0 * math.sqrt(2.0)) < 1e-12)
-    rep2 = kernels.gram(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    check("gram singular example", rep2.inverse is None and rep2.rank == 1)
-    check(
-        "eta closed forms",
-        abs(kernels.eta_radius(1.0, 1.0) - (math.sqrt(1.5) - 1.0)) < 1e-15
-        and abs(kernels.eta_radius(2.0, 0.5) - (math.sqrt(5.0) - 2.0)) < 1e-15,
-    )
-    expected_delta = (2.5 - 2.0 * math.sqrt(1.5)) / 1664.0
-    check(
-        "contraction window example",
-        abs(kernels.picard_delta(1, 1.0, 1.0, 1, 1.0) - expected_delta) < 1e-18,
-    )
-    check(
-        "growth envelope examples",
-        abs(kernels.stability_bound_M(0.0, 1.0, 1.0) - 3.0) < 1e-15
-        and abs(kernels.stability_bound_M(1.0, 1.0, 1.0) - 9.0 * math.exp(6.0)) < 1e-10,
-    )
-    fine = paths.generate(7, 8, 0.25, 8, 2, level=0)
-    coarse = paths.generate(7, 4, 0.5, 8, 2, level=1)
-    fine_steps = np.stack([fine.increment(k).copy() for k in range(8)])
-    agg = paths.coarsen(fine_steps, np.empty((4, 8, 2)))
-    check("path refinement consistency",
-          all(np.array_equal(agg[k], coarse.increment(k)) for k in range(4)))
 
     model = models.builtin("ou", kappa=1.0, sigma=1.0, d=3)
     init = models.default_initial(model, 32, 3, seed=1)

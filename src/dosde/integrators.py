@@ -322,12 +322,12 @@ def integrate(
     Parameters
     ----------
     initial : DoState or FullState
-        The starting state, validated here.  Must be a DoState for "do";
-        either kind otherwise.  Its time ``initial.t`` must be a grid
-        point k0 dt <= t_end: at t = 0 it is an initial datum, and a
-        later state resumes a run, so splitting a run at any grid point
-        and resuming from the state recorded there gives the unbroken
-        run's steps, records and reports bit for bit.
+        The starting state, validated here, of the model's dimension d.
+        Must be a DoState for "do"; either kind otherwise.  Its time
+        ``initial.t`` must be a grid point k0 dt <= t_end: at t = 0 it is
+        an initial datum, and a later state resumes a run, so splitting a
+        run at any grid point and resuming from the state recorded there
+        gives the unbroken run's steps, records and reports bit for bit.
     path : BrownianPath
         Supplies increments one step at a time (``path.increment(k)``
         for k = k0, k0 + 1, ..., streamed in bounded chunks); must cover
@@ -388,16 +388,17 @@ def integrate(
     else:
         X0 = np.array(initial.product(), dtype=float, order="K")
         state, step = FullState(t=t0, X=X0), step_reference
+    n_atoms, d = (len(state.Y), state.U.shape[1]) if scheme == "do" else state.X.shape
+    if d != model.d:
+        raise ShapeMismatch("state has dimension %d, model has %d" % (d, model.d))
+    if path.N != n_atoms:
+        raise ShapeMismatch("path has %d atoms, state has %d" % (path.N, n_atoms))
     if scheme == "ambient":
         if R is None and factored:
             R = initial.rank
-        d = state.X.shape[1]
         if type(R) is not int or not 1 <= R <= d:
             raise ShapeMismatch("the 'ambient' scheme needs a rank R in 1..%d, got %r" % (d, R))
         step = functools.partial(step_ambient_dlra, R=R)
-    n_atoms = len(state.Y if scheme == "do" else state.X)
-    if path.N != n_atoms:
-        raise ShapeMismatch("path has %d atoms, state has %d" % (path.N, n_atoms))
 
     # Steppers return fresh states, so snapshots need no copy.
     traj = Trajectory(

@@ -160,7 +160,6 @@ class GramReport:
     inverse: np.ndarray | None
     lambda_min: float
     inv_frobenius: float
-    rank: int
 
 
 def gram(Y):
@@ -186,7 +185,7 @@ def gram(Y):
     # Each leaf Y^T Y is a syrk product, exactly symmetric, and the tree
     # adds (j,k) and (k,j) alike, so C is exactly symmetric; eigh needs
     # no symmetrization.
-    vals, vecs, threshold, inv = _eigh_inverse(C)
+    vals, vecs, inv = _eigh_inverse(C)
     return GramReport(
         gram=C,
         eigenvalues=vals,
@@ -194,7 +193,6 @@ def gram(Y):
         inverse=inv,
         lambda_min=max(float(vals[0]), 0.0),
         inv_frobenius=math.inf if inv is None else float(math.sqrt(np.sum((1.0 / vals) ** 2))),
-        rank=int(np.count_nonzero(vals > threshold)),
     )
 
 
@@ -212,12 +210,12 @@ def leading_modes(rep, rel_threshold):
 
 
 def _eigh_inverse(G):
-    """Ascending eigenpairs of a symmetric G, the relative threshold
-    EPS_RANK * trace, and G^-1 when lambda_min clears it (else None)."""
+    """Ascending eigenpairs of a symmetric G, and G^-1 when lambda_min
+    clears the relative threshold EPS_RANK * trace (else None)."""
     vals, vecs = np.linalg.eigh(G)
     threshold = EPS_RANK * max(float(np.trace(G)), 0.0)
     inv = (vecs / vals) @ vecs.T if vals[0] > threshold else None
-    return vals, vecs, threshold, inv
+    return vals, vecs, inv
 
 
 def fix_signs(Q):
@@ -238,7 +236,7 @@ def projector_row(U):
     U = np.asarray(U, dtype=float)
     if U.ndim != 2:
         raise InvalidEnsemble("U must be 2-D")
-    vals, _, _, inverse = _eigh_inverse(U @ U.T)
+    vals, _, inverse = _eigh_inverse(U @ U.T)
     if inverse is None:
         raise SingularRowGram("row Gram of U is singular (lambda_min=%g)" % vals[0])
     return U.T @ inverse @ U
@@ -360,9 +358,9 @@ def picard_delta(R, rho, gamma, d, C_lgb):
     float
         delta <= 1; non-increasing in gamma.
     """
-    if not (isinstance(R, int) and R >= 1):
+    if not (type(R) is int and R >= 1):
         raise InvalidBoundInput("R must be a positive integer, got %r" % (R,))
-    if not (isinstance(d, int) and d >= 1):
+    if not (type(d) is int and d >= 1):
         raise InvalidBoundInput("d must be a positive integer, got %r" % (d,))
     _require_positive(rho=rho, gamma=gamma, C_lgb=C_lgb)
     eta = _admissible_eta(R, rho, gamma)
@@ -388,7 +386,7 @@ def picard_delta_n(n, R, d, C_lgb, rho0_sq, gamma0_sq):
     gamma_n = sqrt(gamma0_sq + n); the admissible radius is the smaller
     of eta(rho_n, gamma_n) and eta(sqrt(R), sqrt(R)).
     """
-    if not (isinstance(n, int) and n >= 0):
+    if not (type(n) is int and n >= 0):
         raise InvalidBoundInput("n must be a non-negative integer, got %r" % (n,))
     _require_nonnegative(rho0_sq=rho0_sq, gamma0_sq=gamma0_sq)
     rho_n = math.sqrt(rho0_sq + n)
@@ -420,7 +418,7 @@ def moment_bound_2k(k, T, E_Y0_2k, C_lgb):
     K1(T) = 3 k^2 C T / (1 + 1/C)^{k-1} and
     K2(T) = exp(6 k^2 C (1 + 1/C) T).
     """
-    if not (isinstance(k, int) and k >= 1):
+    if not (type(k) is int and k >= 1):
         raise InvalidBoundInput("k must be a positive integer, got %r" % (k,))
     _require_nonnegative(T=T, E_Y0_2k=E_Y0_2k)
     _require_positive(C_lgb=C_lgb)

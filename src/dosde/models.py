@@ -389,10 +389,12 @@ def default_initial(model, N, R, seed=0):
     basis (R must match).  mode_crossing: the planted collinearity
     ensemble [xi, 1] with xi exactly centered and normalized.
     """
-    if not isinstance(seed, int):
+    if type(seed) is not int:
         raise BadParams("seed must be an integer, got %r" % (seed,))
-    if not (isinstance(N, int) and N >= 2):
+    if not (type(N) is int and N >= 2):
         raise BadParams("need at least 2 atoms, got %r" % (N,))
+    if type(R) is not int:
+        raise BadParams("R must be an integer, got %r" % (R,))
     if N < R:
         raise BadParams("need at least R atoms, got N=%d, R=%d" % (N, R))
     if model.name == "mode_crossing":

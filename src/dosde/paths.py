@@ -341,13 +341,13 @@ def generate(seed, n_steps, dt, N, m, level=0):
         n_steps * 2**level steps of size dt / 2**level and are summed
         pairwise back up to the requested grid.
     """
-    if not isinstance(seed, int):
+    if type(seed) is not int:
         raise InvalidEnsemble("seed must be an integer, got %r" % (seed,))
-    if not (isinstance(n_steps, int) and n_steps >= 1):
+    if not (type(n_steps) is int and n_steps >= 1):
         raise InvalidEnsemble("n_steps must be a positive integer, got %r" % (n_steps,))
-    if not (isinstance(N, int) and N >= 1 and isinstance(m, int) and m >= 1):
+    if not (type(N) is int and N >= 1 and type(m) is int and m >= 1):
         raise InvalidEnsemble("N and m must be positive integers")
-    if not (isinstance(level, int) and level >= 0):
+    if not (type(level) is int and level >= 0):
         raise InvalidEnsemble("level must be a non-negative integer, got %r" % (level,))
     if not (isinstance(dt, float) and math.isfinite(dt) and dt > 0):
         raise InvalidEnsemble("dt must be a positive finite real, got %r" % (dt,))

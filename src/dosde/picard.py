@@ -6,9 +6,9 @@ pair to a new one via the two integral maps
     F1(U, Y)(t) = U0 + int_0^t C_{Y_s}^-1 E[Y_s a(s, U_s^T Y_s)^T] (I - P_{U_s}) ds
     F2(U, Y)(t) = Y0 + int_0^t U_s a ds + int_0^t U_s b dW_s
 
-discretized with the left-point rule on a fixed fine grid (64 points per
-window by default, supplied via the path).  P_{U_s} is the general row
-projector, since iterates need not keep orthonormal rows.
+discretized with the left-point rule on the path's grid (``picard-demo``
+cuts its window into ``picard.grid`` panels, 64 by default).  P_{U_s} is
+the general row projector, since iterates need not keep orthonormal rows.
 
 On a window shorter than ``picard_delta`` the sweeps contract: the
 squared sup differences
@@ -77,6 +77,8 @@ def picard_local_solve(model, U0, Y0, path, n_iters=7):
     N = Y0.shape[0]
     if Y0.shape[1] != R:
         raise ShapeMismatch("Y0 has %d columns, U0 has %d rows" % (Y0.shape[1], R))
+    if d != model.d:
+        raise ShapeMismatch("U0 has %d columns, model has dimension %d" % (d, model.d))
     if path.N != N or path.m != model.m:
         raise ShapeMismatch("path atoms/channels do not match Y0/model")
     K = path.n_steps

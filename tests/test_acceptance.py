@@ -397,12 +397,9 @@ def test_12_byte_determinism_across_threads(tmp_path):
         )
 
         def run(out, threads):
-            env = {
-                k: v
-                for k, v in os.environ.items()
-                if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-            }
-            env["DOSDE_THREADS"] = str(threads)
+            env = dict(os.environ)
+            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+                env[var] = str(threads)
             proc = subprocess.run(
                 [sys.executable, "-m", "dosde", "simulate", str(cfg), "--out", str(out)],
                 capture_output=True, text=True, env=env,

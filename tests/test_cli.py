@@ -1,6 +1,7 @@
 """End-to-end CLI checks through real subprocesses."""
 
 import csv
+import dataclasses
 import hashlib
 import math
 import os
@@ -337,44 +338,6 @@ run.out_dir = {out}
     assert len(_rows(tmp_path / "out" / "error_report.csv")) == 2
 
 
-_BLAS_THREADS = """
-import ctypes
-
-import dosde  # must load before numpy for DOSDE_THREADS to apply
-
-with open("/proc/self/maps", encoding="utf-8") as fh:
-    libs = sorted({line.split()[-1] for line in fh if "openblas" in line and ".so" in line})
-for lib in libs:
-    handle = ctypes.CDLL(lib)
-    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                   "openblas_get_num_threads"):
-        fn = getattr(handle, symbol, None)
-        if fn is not None:
-            fn.restype = ctypes.c_int
-            print(fn())
-            raise SystemExit(0)
-print("none")
-"""
-
-
-def test_dosde_threads_sets_blas_threads_in_effect():
-    if not os.path.exists("/proc/self/maps"):
-        pytest.skip("needs /proc/self/maps to find the loaded BLAS")
-    env = {
-        k: v
-        for k, v in os.environ.items()
-        if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-    }
-    env["DOSDE_THREADS"] = "1"
-    proc = subprocess.run(
-        [sys.executable, "-c", _BLAS_THREADS], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    if proc.stdout.strip() == "none":
-        pytest.skip("no OpenBLAS loaded")
-    assert proc.stdout.strip() == "1"
-
-
 _LOADED_SCIPY = """
 import sys
 
@@ -468,20 +431,48 @@ run.out_dir = {out}
     assert (fields["steps"], fields["rank_events"]) == ("1200", "1")
 
 
+SELF_TEST_CHECKS = [
+    "full-rank factored run matches reference",
+    "basis orthonormality",
+    "split run equals unbroken run",
+    "config round-trip",
+    "rerun determinism",
+]
+
+# Closed forms that tier-1 pins (test_kernels, test_paths); the self-test
+# runs only what can differ between installs.
+TIER1_CLOSED_FORMS = [
+    "gram identity example",
+    "gram singular example",
+    "eta closed forms",
+    "contraction window example",
+    "growth envelope examples",
+    "path refinement consistency",
+]
+
+
 def test_self_test_passes():
     proc = _run("--self-test")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "FAIL" not in proc.stdout
+    assert proc.stdout.splitlines() == [
+        "self-test %-40s ok" % name for name in SELF_TEST_CHECKS
+    ]
 
 
 def test_a_failing_self_test_check_exits_4_and_names_it(monkeypatch, capsys):
-    from dosde import cli, kernels
+    from dosde import cli, config
 
-    monkeypatch.setattr(kernels, "stability_bound_M", lambda T, E, C: math.nan)
+    serialize = config.serialize
+    monkeypatch.setattr(
+        config, "serialize", lambda cfg: serialize(dataclasses.replace(cfg, seed=cfg.seed + 1))
+    )
     assert cli.main(["--self-test"]) == 4
     captured = capsys.readouterr()
-    assert "growth envelope examples" in captured.out and "FAIL" in captured.out
-    assert "self-test failed: growth envelope examples\n" in captured.err
+    assert "self-test %-40s FAIL\n" % "config round-trip" in captured.out
+    assert captured.out.count("FAIL") == 1
+    assert "self-test failed: config round-trip\n" in captured.err
+    assert not any(name in captured.out for name in TIER1_CLOSED_FORMS)
 
 
 def test_a_harness_over_its_bound_exits_3(tmp_path, monkeypatch, capsys):

@@ -1,8 +1,12 @@
-"""Package structure: every module imports at its top, and the modules
-import one another without a cycle."""
+"""Package structure: every module imports at its top, the modules
+import one another without a cycle, and importing the package leaves the
+environment alone."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 from graphlib import CycleError, TopologicalSorter
 
 import pytest
@@ -59,3 +63,24 @@ def test_the_package_import_graph_is_acyclic():
         TopologicalSorter(graph).prepare()
     except CycleError as err:
         pytest.fail("import cycle: %s" % " -> ".join(err.args[1]))
+
+
+_ENVIRON_AFTER_IMPORT = """
+import os
+
+before = dict(os.environ)
+import dosde
+
+print(dict(os.environ) == before)
+"""
+
+
+def test_importing_the_package_sets_no_environment_variable():
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    env["DOSDE_THREADS"] = "3"
+    proc = subprocess.run(
+        [sys.executable, "-c", _ENVIRON_AFTER_IMPORT], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"

@@ -569,6 +569,22 @@ def test_integrate_rejects_a_stride_that_is_not_a_positive_int(stride, monkeypat
     assert drawn == []
 
 
+@pytest.mark.parametrize("scheme, factored", [
+    ("do", True), ("ambient", True), ("reference", True), ("ambient", False), ("reference", False),
+])
+def test_integrate_rejects_a_state_of_another_dimension(scheme, factored, monkeypatch):
+    drawn = []
+    monkeypatch.setattr(paths, "_draw_normals", lambda *args: drawn.append(args))
+    model = builtin("ou", d=4)
+    init = default_initial(builtin("ou", d=5), N=16, R=2, seed=0)
+    if not factored:
+        init = FullState(t=0.0, X=init.product())
+    path = paths.generate(0, 5, 1e-2, 16, model.m)
+    with pytest.raises(ShapeMismatch, match="state has dimension 5, model has 4"):
+        integrate(model, init, scheme, 0.05, 1e-2, path)
+    assert drawn == []
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     scheme=st.sampled_from(["do", "ambient", "reference"]),

@@ -245,18 +245,13 @@ print(_blas_info()[1], digest.hexdigest())
 
 
 def test_mean_outer_bits_do_not_depend_on_blas_threads():
-    base = {
-        k: v
-        for k, v in os.environ.items()
-        if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "DOSDE_THREADS")
-    }
     results = {}
     for threads in (1, 2, 4):
+        env = dict(os.environ)
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = str(threads)
         proc = subprocess.run(
-            [sys.executable, "-c", _THREAD_PROBE],
-            capture_output=True,
-            text=True,
-            env=dict(base, OPENBLAS_NUM_THREADS=str(threads)),
+            [sys.executable, "-c", _THREAD_PROBE], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0, proc.stderr
         results[threads] = proc.stdout.split()
@@ -309,7 +304,7 @@ def test_gram_identity_pair():
     rep = kernels.gram(Y)
     assert np.array_equal(rep.gram, 0.5 * np.eye(2))
     assert np.allclose(rep.eigenvalues, [0.5, 0.5])
-    assert rep.rank == 2
+    assert kernels.leading_modes(rep, kernels.EPS_RANK)[2] == 2
     # ||C^-1||_F = ||2 I||_F = 2 sqrt(2), frozen
     assert math.isclose(rep.inv_frobenius, 2.8284271247461903, rel_tol=1e-15)
     assert np.allclose(rep.inverse, 2.0 * np.eye(2))
@@ -319,7 +314,7 @@ def test_gram_singular_has_no_inverse():
     Y = np.array([[1.0, 0.0], [1.0, 0.0], [-2.0, 0.0]])
     rep = kernels.gram(Y)
     assert rep.inverse is None
-    assert rep.rank == 1
+    assert kernels.leading_modes(rep, kernels.EPS_RANK)[2] == 1
     assert rep.inv_frobenius == math.inf
     assert rep.lambda_min == 0.0
 
@@ -338,7 +333,7 @@ def test_gram_threshold_is_relative():
     Y = 1e-12 * np.random.default_rng(4).standard_normal((32, 3))
     rep = kernels.gram(Y)
     assert rep.inverse is not None
-    assert rep.rank == 3
+    assert kernels.leading_modes(rep, kernels.EPS_RANK)[2] == 3
 
 
 # ---------------------------------------------------------------- projectors
@@ -510,6 +505,10 @@ def test_picard_delta_rejects_bad_inputs():
         kernels.picard_delta(1, -1.0, 1.0, 1, 1.0)
     with pytest.raises(InvalidBoundInput):
         kernels.picard_delta(1, 1.0, 1.0, 2.5, 1.0)
+    with pytest.raises(InvalidBoundInput, match="R must be a positive integer"):
+        kernels.picard_delta(True, 1.0, 1.0, 1, 1.0)
+    with pytest.raises(InvalidBoundInput, match="d must be a positive integer"):
+        kernels.picard_delta(1, 1.0, 1.0, True, 1.0)
 
 
 def test_picard_delta_n_matches_level_norms():
@@ -519,6 +518,8 @@ def test_picard_delta_n_matches_level_norms():
     assert all(a > b for a, b in zip(seq, seq[1:]))
     with pytest.raises(InvalidBoundInput, match="non-negative integer"):
         kernels.picard_delta_n(-1, 2, 6, 2.0, 2.25, 1.0)
+    with pytest.raises(InvalidBoundInput, match="n must be a non-negative integer"):
+        kernels.picard_delta_n(True, 2, 6, 2.0, 2.25, 1.0)
     with pytest.raises(InvalidBoundInput, match="level norms must be positive"):
         kernels.picard_delta_n(0, 2, 6, 2.0, 0.0, 0.0)
 
@@ -560,6 +561,8 @@ def test_moment_bound_rejects_bad_k():
         kernels.moment_bound_2k(0, 1.0, 1.0, 1.0)
     with pytest.raises(InvalidBoundInput):
         kernels.moment_bound_2k(1.5, 1.0, 1.0, 1.0)
+    with pytest.raises(InvalidBoundInput, match="k must be a positive integer"):
+        kernels.moment_bound_2k(True, 1.0, 1.0, 1.0)
 
 
 def test_well_posedness_bundle_consistency():

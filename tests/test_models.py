@@ -232,10 +232,16 @@ def test_default_initial_needs_at_least_R_atoms(name):
         default_initial(model, N=2, R=3, seed=0)
 
 
-@pytest.mark.parametrize("seed", [1.5, 1.0])
+@pytest.mark.parametrize("seed", [1.5, 1.0, True])
 def test_default_initial_rejects_a_seed_that_is_not_an_int(seed):
     with pytest.raises(BadParams, match="seed must be an integer"):
         default_initial(builtin("ou", d=4), N=16, R=2, seed=seed)
+
+
+@pytest.mark.parametrize("R", [2.0, True])
+def test_default_initial_rejects_a_rank_that_is_not_an_int(R):
+    with pytest.raises(BadParams, match="R must be an integer"):
+        default_initial(builtin("ou", d=4), N=8, R=R, seed=0)
 
 
 def test_default_initial_rank_is_at_most_d():
@@ -256,7 +262,7 @@ def test_mode_crossing_initial_datum_does_not_depend_on_blas_threads():
     # xi is normalised by an atom-axis sum; one left to a BLAS dot is split
     # across threads and changes its last bits at this N.
     script = (
-        "import hashlib, dosde\n"  # dosde loads before numpy for DOSDE_THREADS
+        "import hashlib, dosde\n"
         "from dosde import models\n"
         "model = models.builtin('mode_crossing', d=4)\n"
         "Y = models.default_initial(model, 100000, 2).Y\n"
@@ -264,12 +270,9 @@ def test_mode_crossing_initial_datum_does_not_depend_on_blas_threads():
     )
 
     def digest(threads):
-        env = {
-            k: v
-            for k, v in os.environ.items()
-            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-        }
-        env["DOSDE_THREADS"] = str(threads)
+        env = dict(os.environ)
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = str(threads)
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr

@@ -86,6 +86,9 @@ def test_rejects_bad_arguments():
     (0, 1, 0, "N and m must be positive integers"),
     (4.0, 1, 0, "N and m must be positive integers"),
     (4, 0, 0, "N and m must be positive integers"),
+    (True, 1, 0, "N and m must be positive integers"),
+    (4, True, 0, "N and m must be positive integers"),
+    (4, 1, True, "level must be a non-negative integer"),
     (4, 1, -1, "level must be a non-negative integer"),
 ])
 def test_rejects_bad_sizes_and_levels(N, m, level, needle):
@@ -93,7 +96,7 @@ def test_rejects_bad_sizes_and_levels(N, m, level, needle):
         paths.generate(0, 4, 1e-3, N, m, level=level)
 
 
-@pytest.mark.parametrize("seed", [1.5, 1.0])
+@pytest.mark.parametrize("seed", [1.5, 1.0, True])
 def test_rejects_a_seed_that_is_not_an_int(seed):
     with pytest.raises(InvalidEnsemble, match="seed must be an integer"):
         paths.generate(seed, 4, 1e-3, 4, 1)

@@ -94,7 +94,9 @@ def test_shapes_of_result():
     assert res.times[-1] == pytest.approx(8 * path.dt)
 
 
-def test_rejects_mismatched_inputs():
+def test_rejects_mismatched_inputs(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(paths, "_draw_normals", lambda *args: drawn.append(args))
     model, init, path = _setup()
     Y_wide = np.hstack([init.Y, init.Y])  # two columns vs a one-row basis
     with pytest.raises(ShapeMismatch):
@@ -102,6 +104,10 @@ def test_rejects_mismatched_inputs():
     bad_path = paths.generate(2, 4, 1e-3, 32, model.m)
     with pytest.raises(ShapeMismatch):
         picard_local_solve(model, init.U, init.Y, bad_path)
+    wide = default_initial(builtin("ou", d=5), N=64, R=1, seed=5)
+    with pytest.raises(ShapeMismatch, match="U0 has 5 columns, model has dimension 4"):
+        picard_local_solve(model, wide.U, init.Y, path)
+    assert drawn == []
 
 
 @pytest.mark.parametrize("n_iters", [0, -1, 2.5, True])
