@@ -48,10 +48,6 @@ class BadParams(DosdeError):
     """Builtin model parameters are missing, unknown, or out of range."""
 
 
-class AssumptionViolated(DosdeError):
-    """Probing found drift/diffusion behaviour outside the declared constants."""
-
-
 class NoFloorDeclared(DosdeError):
     """Model declares no uniform noise floor (sigma_B = 0)."""
 

@@ -60,6 +60,8 @@ def pairwise_sum(values):
     chunking, and better rounding than a running sum.
     """
     a = np.asarray(values, dtype=float)
+    if a.ndim == 0:
+        raise InvalidEnsemble("cannot reduce a 0-D value over atoms")
     n = a.shape[0]
     if n == 0:
         raise InvalidEnsemble("cannot reduce an empty axis")
@@ -93,6 +95,10 @@ def mean_outer(A, B):
     same = B is A
     A = np.ascontiguousarray(A, dtype=float)
     B = A if same else np.ascontiguousarray(B, dtype=float)
+    if A.ndim != 2 or B.ndim != 2:
+        raise InvalidEnsemble(
+            "mean_outer needs two 2-D ensembles, got ndim %d and %d" % (A.ndim, B.ndim)
+        )
     if A.shape[0] != B.shape[0]:
         raise ShapeMismatch(
             "atom counts differ: %d vs %d" % (A.shape[0], B.shape[0])
@@ -128,6 +134,9 @@ def mean_outer_walk(A, q, block):
 
 def mean_sq_norm(A):
     """E|A|^2 for an ensemble A (N x k): mean over atoms of the squared row norms."""
+    A = np.asarray(A)
+    if A.ndim != 2:
+        raise InvalidEnsemble("expected an N x k ensemble, got ndim=%d" % A.ndim)
     return float(ensemble_mean(np.sum(A**2, axis=1)))
 
 
@@ -246,13 +255,12 @@ def projector_stochastic(Y, f):
     """Project a random vector onto the span of the coefficients of Y.
 
     Componentwise L2(Omega) projection: (P f)_i = Y_i . C_Y^-1 E[Y f].
-    ``f`` may be (N,) or (N, k); the output matches its shape.
+    ``f`` is (N, k), and so is the output.
     """
     Y = as_ensemble(Y, "Y")
     F = np.asarray(f, dtype=float)
-    squeeze = F.ndim == 1
-    if squeeze:
-        F = F[:, None]
+    if F.ndim != 2:
+        raise InvalidEnsemble("f must be 2-D, got ndim=%d" % F.ndim)
     if F.shape[0] != Y.shape[0]:
         raise ShapeMismatch(
             "atom counts differ: %d vs %d" % (Y.shape[0], F.shape[0])
@@ -260,8 +268,7 @@ def projector_stochastic(Y, f):
     rep = gram(Y)
     if rep.inverse is None:
         raise SingularGram("coefficient Gram is singular", report=rep)
-    out = Y @ (rep.inverse @ mean_outer(Y, F))
-    return out[:, 0] if squeeze else out
+    return Y @ (rep.inverse @ mean_outer(Y, F))
 
 
 @dataclass

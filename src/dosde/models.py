@@ -5,11 +5,10 @@ an (N, d) sample block and returns (N, d).  ``diffusion(t, X)`` has one
 of two forms: a constant (d, m) matrix B, applied as B dW, or, when the
 model sets ``diagonal_noise``, an (N, d) block v of per-atom diagonals
 (m = d), applied entrywise as v * dW.  No per-atom (N, d, m) matrix is
-built.  Declared constants (global Lipschitz ``C_Lip``, linear growth
-``C_lgb``, uniform noise-floor ``sigma_B`` with b b^T >= sigma_B I) can
-be spot-checked on the documented probe box with
-``validate_assumptions``, which builds the dense diagonal only at its
-probe points.
+built.  Each model declares the constants behind the bounds: global
+Lipschitz ``C_Lip``, linear growth ``C_lgb`` and uniform noise floor
+``sigma_B`` with b b^T >= sigma_B I.  The tests check the declarations
+numerically on a probe box per model.
 
 The zoo covers the regimes the integrators have to survive:
 
@@ -24,13 +23,13 @@ The zoo covers the regimes the integrators have to survive:
 
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import kernels
-from .errors import AssumptionViolated, BadParams, UnknownModel
+from .errors import BadParams, UnknownModel
 from .integrators import DoState
 from .paths import _MASK64
 
@@ -55,7 +54,9 @@ class SdeModel:
 
     ``diffusion(t, X)`` returns a constant (d, m) matrix, or, when
     ``diagonal_noise`` is set, the (N, d) per-atom diagonals of b with
-    m = d (see the module docstring).
+    m = d (see the module docstring).  ``C_Lip``, ``C_lgb`` and
+    ``sigma_B`` are the declared constants, and ``horizon`` is the
+    model's documented time span.
     """
 
     name: str
@@ -66,9 +67,7 @@ class SdeModel:
     C_Lip: float
     C_lgb: float
     sigma_B: float
-    box: tuple
     horizon: float
-    params: dict = field(default_factory=dict)
     basis: np.ndarray | None = None  # planted row basis, when the model has one
     diagonal_noise: bool = False
 
@@ -95,9 +94,7 @@ def _ou(kappa=1.0, sigma=1.0, d=4):
         C_Lip=kappa,
         C_lgb=max(kappa * kappa, sigma * sigma * d),
         sigma_B=sigma * sigma,
-        box=(-3.0, 3.0),
         horizon=1.0,
-        params={"kappa": kappa, "sigma": sigma, "d": d},
     )
 
 
@@ -145,9 +142,7 @@ def _linear_lowrank(lambdas=(-0.5, -2.0), sigma_b=0.5, d=8):
         C_Lip=norm_A,
         C_lgb=max(norm_A * norm_A, fro_B_sq) if max(norm_A, fro_B_sq) > 0 else 1.0,
         sigma_B=0.0,
-        box=(-3.0, 3.0),
         horizon=1.0,
-        params={"lambdas": lambdas, "sigma_b": sigmas, "d": d},
         basis=_readonly(U0),
     )
 
@@ -173,9 +168,7 @@ def _gbm_clipped(mu=0.05, sigma=0.2, clip=5.0, d=4):
         C_Lip=max(abs(mu), sigma),
         C_lgb=mu * mu + sigma * sigma if (mu, sigma) != (0.0, 0.0) else 1.0,
         sigma_B=0.0,
-        box=(-10.0, 10.0),
         horizon=1.0,
-        params={"mu": mu, "sigma": sigma, "clip": clip, "d": d},
         diagonal_noise=True,
     )
 
@@ -212,9 +205,7 @@ def _mode_crossing(t_star=1.0, d=4):
         C_Lip=0.0,
         C_lgb=1.0 / (t_star * t_star),
         sigma_B=0.0,
-        box=(-3.0, 3.0),
         horizon=1.2 * t_star,
-        params={"t_star": t_star, "d": d},
         basis=_readonly(U0),
     )
 
@@ -242,9 +233,7 @@ def _additive_floor(alpha=0.25, sigma=0.5, d=2):
         C_Lip=1.0 + alpha,
         C_lgb=max((1.0 + alpha) ** 2, sigma * sigma * d),
         sigma_B=sigma * sigma,
-        box=(-3.0, 3.0),
         horizon=10.0,
-        params={"alpha": alpha, "sigma": sigma, "d": d},
     )
 
 
@@ -287,90 +276,6 @@ def builtin(name, **params):
         if not finite:
             raise BadParams("%s: %s must be finite reals, got %r" % (name, key, value))
     return factory(**params)
-
-
-@dataclass
-class AssumptionReport:
-    """Worst ratios observed while probing a model's declared constants.
-
-    Every ratio is observed/declared, so anything above 1 is a
-    violation.  ``floor_margin`` is min eig(b b^T) / sigma_B (only
-    meaningful when sigma_B > 0).
-    """
-
-    lip_ratio_drift: float
-    lip_ratio_diffusion: float
-    growth_ratio: float
-    floor_margin: float
-    n_probe: int
-
-
-def validate_assumptions(model, box=None, n_probe=256, seed=0, tol=1e-9):
-    """Probe Lipschitz / growth / noise-floor claims on a box.
-
-    Samples ``n_probe`` point pairs uniformly from box^d and times
-    uniformly from [0, horizon], then compares observed increments to
-    the declared constants.  Raises AssumptionViolated when any ratio
-    exceeds 1 + tol.
-    """
-    if box is None:
-        box = model.box
-    lo, hi = float(box[0]), float(box[1])
-    if not (hi > lo):
-        raise BadParams("probe box must satisfy hi > lo")
-    rng = _rng(0xA55E55, seed, model.d)
-    xs = rng.uniform(lo, hi, size=(n_probe, model.d))
-    ys = rng.uniform(lo, hi, size=(n_probe, model.d))
-    ts = rng.uniform(0.0, model.horizon, size=n_probe)
-
-    lip_a = 0.0
-    lip_b = 0.0
-    growth = 0.0
-    floor = math.inf
-    for t, x, y in zip(ts, xs, ys):
-        ax = np.asarray(model.drift(t, x[None, :]), dtype=float)[0]
-        ay = np.asarray(model.drift(t, y[None, :]), dtype=float)[0]
-        bx = np.asarray(model.diffusion(t, x[None, :]), dtype=float)
-        by = np.asarray(model.diffusion(t, y[None, :]), dtype=float)
-        if model.diagonal_noise:
-            bx, by = np.diag(bx[0]), np.diag(by[0])
-        if not (np.isfinite(ax).all() and np.isfinite(bx).all()):
-            raise AssumptionViolated("%s: non-finite coefficients at %r" % (model.name, x))
-        gap = float(np.linalg.norm(x - y))
-        if gap > 0:
-            da = float(np.linalg.norm(ax - ay))
-            db = float(np.linalg.norm(bx - by))
-            lip_a = max(lip_a, _ratio(da, model.C_Lip * gap))
-            lip_b = max(lip_b, _ratio(db, model.C_Lip * gap))
-        sq = float(ax @ ax + np.sum(bx * bx))
-        growth = max(growth, sq / (model.C_lgb * (1.0 + float(x @ x))))
-        if model.sigma_B > 0:
-            lam = float(np.linalg.eigvalsh(bx @ bx.T)[0])
-            floor = min(floor, lam / model.sigma_B)
-    report = AssumptionReport(
-        lip_ratio_drift=lip_a,
-        lip_ratio_diffusion=lip_b,
-        growth_ratio=growth,
-        floor_margin=floor,
-        n_probe=n_probe,
-    )
-    worst = max(lip_a, lip_b, growth)
-    if worst > 1.0 + tol:
-        raise AssumptionViolated(
-            "%s: declared constants violated (worst ratio %.6g)" % (model.name, worst)
-        )
-    if model.sigma_B > 0 and floor < 1.0 - tol:
-        raise AssumptionViolated(
-            "%s: noise floor sigma_B=%g not met (margin %.6g)"
-            % (model.name, model.sigma_B, floor)
-        )
-    return report
-
-
-def _ratio(observed, allowed):
-    if allowed == 0.0:
-        return 0.0 if observed == 0.0 else math.inf
-    return observed / allowed
 
 
 def whiten(Y):

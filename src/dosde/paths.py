@@ -305,8 +305,14 @@ def lockstep(seed, n_steps, dt, N, m, levels, width=None):
     the window's steps, from the previous window's ``stop << l`` (0 for
     the first) up to ``stop << l``.  The blocks are overwritten by the
     next window, and a ladder path asked for a step outside its window
-    raises IndexError.
+    raises IndexError.  A ``levels`` that is not a positive int, or a
+    ``width`` that is neither None nor one, raises InvalidEnsemble
+    before anything is drawn.
     """
+    if not (type(levels) is int and levels >= 1):
+        raise InvalidEnsemble("levels must be a positive integer, got %r" % (levels,))
+    if not (width is None or (type(width) is int and width >= 1)):
+        raise InvalidEnsemble("width must be None or a positive integer, got %r" % (width,))
     top = levels - 1
     ladder = [generate(seed, n_steps << lvl, dt / (1 << lvl), N, m, level=top - lvl)
               for lvl in range(levels)]
@@ -339,7 +345,9 @@ def generate(seed, n_steps, dt, N, m, level=0):
     level : int
         Dyadic refinement depth.  Draws happen on the fine grid of
         n_steps * 2**level steps of size dt / 2**level and are summed
-        pairwise back up to the requested grid.
+        pairwise back up to the requested grid.  The fine grid's
+        n_steps * 2**level * N * m normals must be indexable by
+        ``np.intp``.
     """
     if type(seed) is not int:
         raise InvalidEnsemble("seed must be an integer, got %r" % (seed,))
@@ -349,6 +357,8 @@ def generate(seed, n_steps, dt, N, m, level=0):
         raise InvalidEnsemble("N and m must be positive integers")
     if not (type(level) is int and level >= 0):
         raise InvalidEnsemble("level must be a non-negative integer, got %r" % (level,))
+    if (n_steps << level) * N * m > np.iinfo(np.intp).max:
+        raise InvalidEnsemble("level %d makes more fine normals than an array can index" % level)
     if not (isinstance(dt, float) and math.isfinite(dt) and dt > 0):
         raise InvalidEnsemble("dt must be a positive finite real, got %r" % (dt,))
     return BrownianPath(seed=seed, n_steps=n_steps, dt=dt, N=N, m=m, level=level)

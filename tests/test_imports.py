@@ -1,10 +1,11 @@
 """Package structure: every module imports at its top, the modules
-import one another without a cycle, and importing the package leaves the
-environment alone."""
+import one another without a cycle, importing the package leaves the
+environment alone, and numpy is the one runtime dependency."""
 
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from graphlib import CycleError, TopologicalSorter
@@ -84,3 +85,11 @@ def test_importing_the_package_sets_no_environment_variable():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "True"
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    names = [re.match(r"[A-Za-z0-9._-]+", dep).group() for dep in project["dependencies"]]
+    assert names == ["numpy"]

@@ -498,13 +498,10 @@ def _noise_cases(draw):
     d = draw(st.integers(2, 6))
     R = draw(st.integers(1, d))
     N = draw(st.integers(R + 8, 48))
-    model = builtin(
-        "gbm_clipped",
-        d=d,
-        sigma=draw(st.floats(0.05, 2.0)),
-        clip=draw(st.floats(0.5, 6.0)),
-    )
-    return model, N, R, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+    sigma = draw(st.floats(0.05, 2.0))
+    clip = draw(st.floats(0.5, 6.0))
+    model = builtin("gbm_clipped", d=d, sigma=sigma, clip=clip)
+    return model, clip, N, R, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=25, deadline=None)
@@ -514,9 +511,8 @@ def test_noise_forms_match_the_dense_oracle(case):
     # the reference and ambient steps bit for bit, the do step and Picard
     # sweeps (whose diagonal apply sums in another order) within the
     # tolerances of their hand-oracle tests.
-    model, N, R, coordinate, seed = case
+    model, clip, N, R, coordinate, seed = case
     dense = _dense_twin(model)
-    clip = model.params["clip"]
     rng = np.random.default_rng(seed)
     if coordinate:
         # coordinate rows keep X = Y U exact, so the planted values reach b

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from dosde import kernels
 from dosde.cli import _blas_info
+from dosde.diagnostics import l2_distance
 from dosde.errors import (
     InvalidBoundInput,
     InvalidEnsemble,
@@ -295,6 +296,21 @@ def test_reductions_reject_an_empty_or_mismatched_atom_axis():
         kernels.mean_outer(np.zeros((4, 2)), np.zeros((5, 2)))
 
 
+@pytest.mark.parametrize("reduce, args", [
+    (kernels.mean_outer, (np.ones((4, 2)), np.ones(4))),
+    (kernels.mean_outer, (np.ones((4, 2, 2)), np.ones((4, 2)))),
+    (kernels.ensemble_mean, (2.0,)),
+    (kernels.pairwise_sum, (2.0,)),
+    (kernels.mean_sq_norm, (np.ones(4),)),
+    (l2_distance, (1.0, 2.0)),
+    (l2_distance, (np.ones((2, 2, 2)), np.zeros((2, 2, 2)))),
+], ids=["mean_outer-1d", "mean_outer-3d", "ensemble_mean-0d", "pairwise_sum-0d",
+        "mean_sq_norm-1d", "l2_distance-0d", "l2_distance-3d"])
+def test_atom_axis_reductions_reject_a_wrong_ndim(reduce, args):
+    with pytest.raises(InvalidEnsemble):
+        reduce(*args)
+
+
 # ---------------------------------------------------------------- gram
 
 
@@ -360,10 +376,12 @@ def test_projector_row_singular_rows():
 def test_projector_stochastic_guards():
     Y = np.random.default_rng(8).standard_normal((16, 2))
     with pytest.raises(ShapeMismatch, match="atom counts differ: 16 vs 15"):
-        kernels.projector_stochastic(Y, np.ones(15))
+        kernels.projector_stochastic(Y, np.ones((15, 1)))
+    with pytest.raises(InvalidEnsemble, match="f must be 2-D, got ndim=1"):
+        kernels.projector_stochastic(Y, np.ones(16))
     dependent = np.column_stack([Y[:, 0], 2.0 * Y[:, 0]])
     with pytest.raises(SingularGram) as err:
-        kernels.projector_stochastic(dependent, np.ones(16))
+        kernels.projector_stochastic(dependent, np.ones((16, 1)))
     assert err.value.report.inverse is None
 
 
@@ -371,7 +389,7 @@ def test_projector_stochastic_fixes_span_members():
     rng = np.random.default_rng(6)
     Y = rng.standard_normal((128, 3))
     c = np.array([0.3, -1.2, 2.0])
-    f = Y @ c
+    f = (Y @ c)[:, None]
     got = kernels.projector_stochastic(Y, f)
     assert np.allclose(got, f, atol=1e-10)
 

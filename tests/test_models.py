@@ -11,16 +11,56 @@ import numpy as np
 import pytest
 
 from dosde import kernels
-from dosde.errors import AssumptionViolated, BadParams, InvalidEnsemble, UnknownModel
+from dosde.errors import BadParams, InvalidEnsemble, UnknownModel
 from dosde.integrators import DoState
-from dosde.models import (
-    builtin,
-    default_initial,
-    validate_assumptions,
-    whiten,
-)
+from dosde.models import _rng, builtin, default_initial, whiten
 
 ALL_NAMES = ["ou", "linear_lowrank", "gbm_clipped", "mode_crossing", "additive_floor"]
+
+# The box each builtin's declared constants are probed on.
+PROBE_BOXES = {
+    "ou": (-3.0, 3.0),
+    "linear_lowrank": (-3.0, 3.0),
+    "gbm_clipped": (-10.0, 10.0),
+    "mode_crossing": (-3.0, 3.0),
+    "additive_floor": (-3.0, 3.0),
+}
+
+
+def _ratio(observed, allowed):
+    if allowed == 0.0:
+        return 0.0 if observed == 0.0 else math.inf
+    return observed / allowed
+
+
+def _probe(model, n_probe, seed):
+    """Worst observed/declared ratios of a model's constants at ``n_probe``
+    point pairs drawn uniformly from its probe box^d, at times drawn
+    uniformly from [0, horizon]: (Lipschitz of the drift, Lipschitz of
+    the diffusion, linear growth, noise floor).  The first three hold
+    when at most 1, the floor (+inf when sigma_B = 0) when at least 1.
+    """
+    lo, hi = PROBE_BOXES[model.name]
+    rng = _rng(0xA55E55, seed, model.d)
+    xs = rng.uniform(lo, hi, size=(n_probe, model.d))
+    ys = rng.uniform(lo, hi, size=(n_probe, model.d))
+    ts = rng.uniform(0.0, model.horizon, size=n_probe)
+    lip_a = lip_b = growth = 0.0
+    floor = math.inf
+    for t, x, y in zip(ts, xs, ys):
+        ax, ay = model.drift(t, x[None, :])[0], model.drift(t, y[None, :])[0]
+        bx, by = model.diffusion(t, x[None, :]), model.diffusion(t, y[None, :])
+        if model.diagonal_noise:
+            bx, by = np.diag(bx[0]), np.diag(by[0])
+        assert np.isfinite(ax).all() and np.isfinite(bx).all(), (model.name, x)
+        gap = float(np.linalg.norm(x - y))
+        lip_a = max(lip_a, _ratio(float(np.linalg.norm(ax - ay)), model.C_Lip * gap))
+        lip_b = max(lip_b, _ratio(float(np.linalg.norm(bx - by)), model.C_Lip * gap))
+        sq = float(ax @ ax + np.sum(bx * bx))
+        growth = max(growth, sq / (model.C_lgb * (1.0 + float(x @ x))))
+        if model.sigma_B > 0:
+            floor = min(floor, float(np.linalg.eigvalsh(bx @ bx.T)[0]) / model.sigma_B)
+    return lip_a, lip_b, growth, floor
 
 
 def test_unknown_model():
@@ -73,7 +113,6 @@ def test_out_of_range_parameters_rejected(name, params, needle):
 
 def test_linear_lowrank_takes_one_noise_scale_per_mode():
     model = builtin("linear_lowrank", lambdas=(-0.5, -2.0), sigma_b=(0.5, 2.0), d=4)
-    assert model.params["sigma_b"] == (0.5, 2.0)
     B = model.diffusion(0.0, np.zeros((1, 4)))
     assert np.allclose(np.linalg.norm(B, axis=0), [0.5, 2.0], rtol=1e-15)
     assert model.C_lgb == 4.25  # max(|lambda|^2, 0.5^2 + 2^2)
@@ -113,7 +152,7 @@ def test_linear_lowrank_span_is_invariant():
     resid = a - (a @ U0.T) @ U0
     assert np.linalg.norm(resid) < 1e-12
     # rate check: with X = e_span rows, drift = lambda * X on each mode
-    lam = np.array(model.params["lambdas"])
+    lam = np.array([-0.5, -2.0])  # the default lambdas
     assert np.allclose(a, (Y * lam) @ U0, atol=1e-12)
 
 
@@ -148,34 +187,17 @@ def test_additive_floor_drift_formula():
 
 def test_declared_constants_hold_on_probe_box():
     for name in ALL_NAMES:
-        model = builtin(name)
-        rep = validate_assumptions(model, n_probe=512, seed=1)
-        assert rep.lip_ratio_drift <= 1.0 + 1e-9, name
-        assert rep.lip_ratio_diffusion <= 1.0 + 1e-9, name
-        assert rep.growth_ratio <= 1.0 + 1e-9, name
-        if model.sigma_B > 0:
-            assert rep.floor_margin >= 1.0 - 1e-9, name
+        lip_a, lip_b, growth, floor = _probe(builtin(name), n_probe=512, seed=1)
+        assert max(lip_a, lip_b, growth) <= 1.0 + 1e-9, name
+        assert floor >= 1.0 - 1e-9, name
 
 
-def test_validate_assumptions_flags_lies():
-    # an OU model with an understated Lipschitz constant must be caught
-    model = builtin("ou", kappa=4.0, sigma=0.1, d=2)
-    object.__setattr__(model, "C_Lip", 1.0)
-    with pytest.raises(AssumptionViolated):
-        validate_assumptions(model, n_probe=256, seed=2)
-
-
-def test_validate_assumptions_guards():
-    model = builtin("ou", kappa=1.0, sigma=0.5, d=2)
-    with pytest.raises(BadParams, match="hi > lo"):
-        validate_assumptions(model, box=(1.0, 1.0))
-    blowup = dataclasses.replace(model, drift=lambda t, x: np.full_like(x, np.inf))
-    with pytest.raises(AssumptionViolated, match="non-finite coefficients"):
-        validate_assumptions(blowup, n_probe=4)
-    # b b^T = 0.25 I, so a declared floor of 1 is not met
-    overstated = dataclasses.replace(model, sigma_B=1.0)
-    with pytest.raises(AssumptionViolated, match="noise floor sigma_B=1 not met"):
-        validate_assumptions(overstated, n_probe=16)
+def test_probe_catches_an_understated_lipschitz_constant():
+    # drift -4 x against a declared C_Lip of 1: every pair's drift ratio is 4
+    model = dataclasses.replace(builtin("ou", kappa=4.0, sigma=0.1, d=2), C_Lip=1.0)
+    lip_a, _, _, _ = _probe(model, n_probe=256, seed=2)
+    assert lip_a > 1.0 + 1e-9
+    assert lip_a == pytest.approx(4.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------- initial data

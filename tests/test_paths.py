@@ -90,10 +90,30 @@ def test_rejects_bad_arguments():
     (4, True, 0, "N and m must be positive integers"),
     (4, 1, True, "level must be a non-negative integer"),
     (4, 1, -1, "level must be a non-negative integer"),
+    # 4 steps of 4 atoms: 2^63 fine normals at level 59, one past np.intp
+    (4, 1, 59, "level 59 makes more fine normals than an array can index"),
+    (4, 2, 70, "level 70 makes more fine normals than an array can index"),
 ])
 def test_rejects_bad_sizes_and_levels(N, m, level, needle):
     with pytest.raises(InvalidEnsemble, match=needle):
         paths.generate(0, 4, 1e-3, N, m, level=level)
+
+
+@pytest.mark.parametrize("levels, width, needle", [
+    (0, None, "levels must be a positive integer"),
+    (-1, None, "levels must be a positive integer"),
+    (2.0, None, "levels must be a positive integer"),
+    (True, None, "levels must be a positive integer"),
+    (2, 0, "width must be None or a positive integer"),
+    (2, 2.0, "width must be None or a positive integer"),
+    (2, True, "width must be None or a positive integer"),
+])
+def test_lockstep_rejects_bad_levels_and_widths(levels, width, needle, monkeypatch):
+    drawn = []
+    monkeypatch.setattr(paths, "_draw_normals", lambda *args: drawn.append(args))
+    with pytest.raises(InvalidEnsemble, match=needle):
+        next(paths.lockstep(0, 4, 0.1, 3, 2, levels, width=width))
+    assert drawn == []
 
 
 @pytest.mark.parametrize("seed", [1.5, 1.0, True])
