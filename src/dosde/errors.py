@@ -17,12 +17,9 @@ class InvalidBoundInput(DosdeError):
     """A closed-form bound was called with arguments outside its domain."""
 
 
-class SingularRowGram(DosdeError):
-    """U U^T is numerically singular; the row projector is undefined."""
-
-
 class SingularGram(DosdeError):
-    """The coefficient Gram matrix fell below the invertibility threshold.
+    """A Gram matrix fell below the invertibility threshold: the coefficient
+    Gram C_Y, or the row Gram U U^T of ``kernels.projector_row``.
 
     Carries the offending report so callers can inspect the spectrum.
     """

@@ -30,13 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidBoundInput,
-    InvalidEnsemble,
-    ShapeMismatch,
-    SingularGram,
-    SingularRowGram,
-)
+from .errors import InvalidBoundInput, InvalidEnsemble, ShapeMismatch, SingularGram
 
 # Relative spectral threshold: a Gram matrix counts as invertible when
 # lambda_min > EPS_RANK * trace.
@@ -175,8 +169,9 @@ def gram(Y):
     """Gram matrix of an ensemble with spectral report.
 
     Every ensemble Gram and its spectrum comes from here: the
-    coefficient Gram C_Y, and the second moment E[X X^T] of a full
-    state X read as a d-column ensemble (``second_moment_svd``).
+    coefficient Gram C_Y (``models.whiten``'s too), and the second moment
+    E[X X^T] of a full state X read as a d-column ensemble
+    (``second_moment_svd``).
 
     Parameters
     ----------
@@ -239,7 +234,7 @@ def fix_signs(Q):
 def projector_row(U):
     """Orthogonal projector onto the row space of U: U^T (U U^T)^-1 U.
 
-    U need not have orthonormal rows.  Raises SingularRowGram when U U^T
+    U need not have orthonormal rows.  Raises SingularGram when U U^T
     is below the relative spectral threshold.
     """
     U = np.asarray(U, dtype=float)
@@ -247,7 +242,7 @@ def projector_row(U):
         raise InvalidEnsemble("U must be 2-D")
     vals, _, inverse = _eigh_inverse(U @ U.T)
     if inverse is None:
-        raise SingularRowGram("row Gram of U is singular (lambda_min=%g)" % vals[0])
+        raise SingularGram("row Gram of U is singular (lambda_min=%g)" % vals[0])
     return U.T @ inverse @ U
 
 

@@ -29,9 +29,9 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
-from .errors import BadParams, UnknownModel
+from .errors import BadParams, InvalidEnsemble, UnknownModel
 from .integrators import DoState
-from .paths import _MASK64
+from .paths import _MASK64, philox
 
 
 def _rng(*key):
@@ -39,7 +39,7 @@ def _rng(*key):
     k = 0
     for part in key:
         k = (k * 0x9E3779B97F4A7C15 + (int(part) & _MASK64)) & ((1 << 128) - 1)
-    return np.random.Generator(np.random.Philox(key=k))
+    return np.random.Generator(philox(k & _MASK64, k >> 64))
 
 
 def _readonly(a):
@@ -279,11 +279,14 @@ def builtin(name, **params):
 
 
 def whiten(Y):
-    """Rescale coefficients so the empirical Gram is the identity."""
+    """Rescale coefficients so the empirical Gram ``kernels.gram(Y)`` is the
+    identity.  Raises InvalidEnsemble when that Gram is singular by
+    ``kernels.gram``'s relative test (no inverse), not only when Cholesky fails."""
     Y = kernels.as_ensemble(Y, "Y")
-    C = kernels.mean_outer(Y, Y)
-    L = np.linalg.cholesky(C)
-    return np.linalg.solve(L, Y.T).T
+    rep = kernels.gram(Y)
+    if rep.inverse is None:
+        raise InvalidEnsemble("cannot whiten a singular Gram (lambda_min=%g)" % rep.lambda_min)
+    return np.linalg.solve(np.linalg.cholesky(rep.gram), Y.T).T
 
 
 def default_initial(model, N, R, seed=0):

@@ -96,7 +96,8 @@ _FAR = (
 
 
 def philox(seed, counter):
-    """Philox bit generator keyed by the 64-bit words (seed, counter)."""
+    """Philox bit generator keyed by the 64-bit words (seed, counter): the
+    package's one Philox constructor (path steps, initial data, harness trials)."""
     return np.random.Philox(key=np.array([seed & _MASK64, counter & _MASK64], dtype=np.uint64))
 
 

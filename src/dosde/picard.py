@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import ShapeMismatch, SingularGram, SingularRowGram
+from .errors import ShapeMismatch, SingularGram
 from .integrators import _atom_terms
 
 
@@ -162,7 +162,7 @@ def _panel(model, t, Uj, Yj, dW, n, j):
     aU, noise, G = _atom_terms(model, t, Uj, Yj, dW)
     try:
         P = kernels.projector_row(Uj)
-    except SingularRowGram as err:
+    except SingularGram as err:
         raise SingularGram(
             "iterate %d has a singular row Gram at grid point %d" % (n, j)
         ) from err

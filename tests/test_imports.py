@@ -1,6 +1,8 @@
 """Package structure: every module imports at its top, the modules
-import one another without a cycle, importing the package leaves the
-environment alone, and numpy is the one runtime dependency."""
+import one another without a cycle, one function builds every Philox
+generator and ``kernels.gram`` every Gram of ``models``, importing the
+package leaves the environment alone, and numpy is the one runtime
+dependency."""
 
 import ast
 import os
@@ -64,6 +66,25 @@ def test_the_package_import_graph_is_acyclic():
         TopologicalSorter(graph).prepare()
     except CycleError as err:
         pytest.fail("import cycle: %s" % " -> ".join(err.args[1]))
+
+
+def _calls(tree):
+    """(enclosing top-level function or None, callee's dotted name) per call."""
+    for top in tree.body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                yield where, ast.unparse(node.func)
+
+
+def test_one_philox_constructor_and_no_gram_outside_kernels_gram():
+    modules = _modules()
+    philox = sorted((name, where) for name, tree in modules.items()
+                    for where, callee in _calls(tree) if callee.split(".")[-1] == "Philox")
+    assert philox == [("paths", "philox")]
+    # Every Gram models forms comes from kernels.gram.
+    assert not [callee for _, callee in _calls(modules["models"])
+                if callee.split(".")[-1] == "mean_outer"]
 
 
 _ENVIRON_AFTER_IMPORT = """

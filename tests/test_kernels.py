@@ -26,7 +26,6 @@ from dosde.errors import (
     InvalidEnsemble,
     ShapeMismatch,
     SingularGram,
-    SingularRowGram,
 )
 
 
@@ -367,7 +366,7 @@ def test_projector_row_reproduces_span():
 
 def test_projector_row_singular_rows():
     U = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    with pytest.raises(SingularRowGram):
+    with pytest.raises(SingularGram):
         kernels.projector_row(U)
     with pytest.raises(InvalidEnsemble, match="2-D"):
         kernels.projector_row(np.ones(3))

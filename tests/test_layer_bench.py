@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import os
+import sys
 
 import pytest
 
@@ -27,6 +28,7 @@ def test_environment_block(bench):
     env = bench.environment(gemm_reps=3)
     assert {"python", "numpy", "blas_name", "blas_version", "blas_core", "blas_threads",
             "log_simd", "cpu_count", "cpus_usable"} <= set(env)
+    assert env["dont_write_bytecode"] is bool(sys.flags.dont_write_bytecode)
     assert env["cpu_count"] >= 1 and env["cpus_usable"] >= 1 and env["gemm_reps"] == 3
     _positive(env, ["gemm_4096x8x64_after_qr_median_ms"])
 
@@ -50,3 +52,19 @@ def test_layer_timings(bench, measure, args, unit):
     record = getattr(bench, measure)(*args, 3)
     assert record["reps"] == 3 and record["unit"] == unit
     _positive(record, ["best", "median"])
+
+
+def test_setup_times(bench):
+    tiny = {"mc": [("simulate", {"model.name": "mode_crossing", "run.n_atoms": 8, "run.dim": 3,
+                                 "run.rank": 2})],
+            "two": [("simulate", {"model.name": "ou", "run.n_atoms": 8, "run.dim": 3,
+                                  "run.rank": 2, "model.kappa": 0.5}),
+                    ("compare", {"model.name": "gbm_clipped", "run.n_atoms": 4, "run.dim": 2,
+                                 "run.rank": 2})]}
+    records = bench.setup_times(tiny, 2)
+    assert [r["part"] for r in records] == ["import_numpy", "import_dosde",
+                                            "default_initial.mc", "default_initial.two"]
+    for record in records:
+        assert record["reps"] == 2 and record["unit"] == "ms"
+        _positive(record, ["best", "median"])
+        assert record["best"] <= record["median"]

@@ -209,6 +209,32 @@ def test_whiten_gives_identity_gram():
     assert np.allclose(rep.gram, np.eye(3), atol=1e-12)
 
 
+@pytest.mark.parametrize("eps", [0.0, 1e-7])
+def test_whiten_refuses_a_singular_gram(eps):
+    # eps = 1e-7 passes Cholesky but sits below kernels.gram's relative
+    # threshold (lambda_min <= 1e-10 trace), so whiten refuses it too.
+    g, h = np.random.default_rng(5).standard_normal((2, 64))
+    with pytest.raises(InvalidEnsemble, match="singular Gram"):
+        whiten(np.column_stack([g, g + eps * h]))
+
+
+def _folded_key(key):
+    """The 128-bit integer ``_rng`` folds its key tuple into."""
+    k = 0
+    for part in key:
+        k = (k * 0x9E3779B97F4A7C15 + part % 2**64) % 2**128
+    return k
+
+
+@pytest.mark.parametrize("key", [(0, 2), (5, 3), (0xD05DE, 1, 250), (2**70, 3), (-1, 4)])
+def test_rng_is_philox_keyed_by_the_folded_integer(key):
+    # numpy reads an integer Philox key k as the words [k mod 2^64, k >> 64].
+    expected = np.random.Generator(np.random.Philox(key=_folded_key(key)))
+    got = _rng(*key)
+    assert np.array_equal(got.bit_generator.random_raw(8), expected.bit_generator.random_raw(8))
+    assert got.standard_normal(64).tobytes() == expected.standard_normal(64).tobytes()
+
+
 def test_initial_datum_validation():
     U = np.array([[1.0, 0.0], [0.0, 2.0]])  # not orthonormal
     Y = np.random.default_rng(6).standard_normal((8, 2))

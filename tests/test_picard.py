@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dosde import kernels, paths
-from dosde.errors import InvalidEnsemble, ShapeMismatch, SingularGram, SingularRowGram
+from dosde.errors import InvalidEnsemble, ShapeMismatch, SingularGram
 from dosde.integrators import _noise
 from dosde.models import builtin, default_initial
 from dosde import picard
@@ -123,6 +123,13 @@ def test_singular_start_raises():
     Y_bad = np.zeros_like(init.Y)
     with pytest.raises(SingularGram):
         picard_local_solve(model, init.U, Y_bad, path, n_iters=1)
+    # A singular row Gram from the projector is re-raised with the
+    # iterate and the grid point it met.
+    with pytest.raises(SingularGram, match="^iterate 1 has a singular row Gram at grid point 0$"
+                       ) as err:
+        picard_local_solve(model, np.zeros_like(init.U), init.Y, path, n_iters=1)
+    assert isinstance(err.value.__cause__, SingularGram)
+    assert "row Gram of U is singular" in str(err.value.__cause__)
 
 
 def _sweep_oracle(model, U0, Y0, path, n_iters):
@@ -163,7 +170,7 @@ def _sweep_oracle(model, U0, Y0, path, n_iters):
             G = kernels.mean_outer(Yj, aj)
             try:
                 P = kernels.projector_row(Uj)
-            except SingularRowGram as err:
+            except SingularGram as err:
                 raise SingularGram(
                     "iterate %d has a singular row Gram at grid point %d" % (n, j)
                 ) from err

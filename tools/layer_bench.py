@@ -8,16 +8,23 @@ It times, in this process and with the BLAS thread count the
 environment gives it:
 
 - ``environment``: python, numpy and BLAS versions, the OpenBLAS kernel
-  and thread count, numpy's float64 ``log`` target, CPU counts, and a
-  gemm probe (median of a 4096x8 @ 8x64 product after one
-  ``np.linalg.qr``), which reads tens of times its usual value in a
-  process whose BLAS is stuck slow;
+  and thread count, numpy's float64 ``log`` target, CPU counts, whether
+  Python writes bytecode caches (``sys.flags.dont_write_bytecode``: when
+  set, every fresh process compiles ``src/dosde`` again), and a gemm
+  probe (median of a 4096x8 @ 8x64 product after one ``np.linalg.qr``),
+  which reads tens of times its usual value in a process whose BLAS is
+  stuck slow;
 - ``steps``: best and median time of one ``do``, ``ambient`` and
   ``reference`` step on ``ou`` (sigma = 0.3, m = d) at three (N, d, R);
 - ``mean_outer`` and ``mean_outer_walk``: the atom-axis reductions;
 - ``draw_normals``: ns per normal of ``paths._draw_normals``;
 - ``write_trajectory``: ns per value of ``cli._write_trajectory`` on
-  one full state.
+  one full state;
+- ``setup``: the parts of a fresh process's start-up that the
+  benchmark's ``setup_s`` times: ``import numpy``, ``import dosde``
+  after numpy, and for each benchmark workload the config parse,
+  ``models.builtin`` and ``models.default_initial`` of its commands,
+  each over 5 fresh interpreters that inherit this environment.
 
 Each timing is a best and a median over its repetitions, and every
 measuring function takes its shape and repetition count, so a test can
@@ -30,15 +37,20 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
 
 import numpy as np
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+SRC = os.path.join(ROOT, "src")
+sys.path.insert(0, SRC)
+sys.path.insert(0, os.path.join(ROOT, "benchmarks"))
 
 from dosde import cli, integrators, kernels, models, paths  # noqa: E402
+from workloads import DEFAULT_SEED, WORKLOADS, config_text  # noqa: E402
 
 STEP_SHAPES = ((256, 4, 2), (1024, 32, 4), (4096, 64, 8))
 STEP_DT = 1e-3
@@ -80,6 +92,7 @@ def environment(gemm_reps=100):
         "cpu_count": os.cpu_count(),
         "cpus_usable": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
         else os.cpu_count(),
+        "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
         "gemm_4096x8x64_after_qr_median_ms": statistics.median(probe) * 1e3,
         "gemm_reps": gemm_reps,
     }
@@ -145,6 +158,49 @@ def write_trajectory_time(N, d, reps):
     return {"N": N, "d": d, **_summary(times, 1e-9, per=N * d), "unit": "ns/value"}
 
 
+# Run in a fresh interpreter: argv[1] is the src directory, argv[2] a
+# JSON map of workload name to its commands' config texts; prints the
+# seconds of each part.  Each workload part times what the benchmark's
+# setup probe times after the import: parse, build, draw the datum.
+_SETUP_CHILD = """
+import json, sys, time
+start = time.perf_counter()
+import numpy
+numpy_s = time.perf_counter() - start
+sys.path.insert(0, sys.argv[1])
+start = time.perf_counter()
+from dosde.config import parse_config
+from dosde.models import builtin, default_initial
+seconds = {"import_numpy": numpy_s, "import_dosde": time.perf_counter() - start}
+for name, texts in json.loads(sys.argv[2]).items():
+    start = time.perf_counter()
+    for text in texts:
+        cfg = parse_config(text)
+        model = builtin(cfg.model_name, d=cfg.dim, **cfg.model_params)
+        default_initial(model, cfg.n_atoms, cfg.rank, seed=cfg.seed)
+    seconds["default_initial." + name] = time.perf_counter() - start
+print(json.dumps(seconds))
+"""
+
+
+def setup_times(workloads, runs):
+    """ms of each start-up part over ``runs`` fresh interpreters:
+    ``import_numpy``, ``import_dosde`` (numpy already loaded) and
+    ``default_initial.<workload>`` (config parse, ``models.builtin`` and
+    ``models.default_initial`` of each command at the default seed) for
+    each entry of ``workloads`` (name to its list of (command, config
+    keys), as in benchmarks/workloads.py)."""
+    texts = json.dumps({name: [config_text(params, DEFAULT_SEED) for _, params in commands]
+                        for name, commands in workloads.items()})
+    runs_s = []
+    for _ in range(runs):
+        proc = subprocess.run([sys.executable, "-c", _SETUP_CHILD, SRC, texts],
+                              capture_output=True, text=True, check=True)
+        runs_s.append(json.loads(proc.stdout))
+    return [{"part": part, **_summary([r[part] for r in runs_s], 1e-3), "unit": "ms"}
+            for part in runs_s[0]]
+
+
 def measure():
     """Every section at its documented shapes."""
     return {
@@ -155,6 +211,7 @@ def measure():
         "mean_outer_walk": [mean_outer_walk_time(4096, 8, 64, 100)],
         "draw_normals": [draw_normals_time(1 << 16, 30), draw_normals_time(1 << 20, 10)],
         "write_trajectory": [write_trajectory_time(2048, 32, 5)],
+        "setup": setup_times(WORKLOADS, 5),
     }
 
 
