@@ -12,9 +12,10 @@ the tables, a run's trajectory, diagnostics and events, and manifest.txt
 last.  A command that raises leaves no output directory.
 
 Exit codes: 0 success, 2 config error (also sizes that cannot be
-allocated, a MemoryError, and an output directory that cannot be made,
-an OSError), 3 numerical failure (including a run that stopped before
-t_end; its outputs are still written), 4 self-test failure.  All CSV
+allocated, a MemoryError, a Brownian grid too large to index, and an
+output directory that cannot be made, an OSError), 3 numerical failure
+(including a run that stopped before t_end; its outputs are still
+written), 4 self-test failure.  All CSV
 output uses 17 significant digits, so reruns of the same config are
 byte-identical; the wall-time and peak-RSS lines live only in
 manifest.txt.
@@ -34,13 +35,7 @@ from itertools import chain
 import numpy as np
 
 from . import config, diagnostics, integrators, kernels, models, paths, picard, rank_control
-from .errors import (
-    BadParams,
-    DosdeError,
-    ParseError,
-    UnknownModel,
-    ValidationError,
-)
+from .errors import BadParams, DosdeError, ParseError, ValidationError
 
 BUILD_ID = "dosde-0.1.0"
 
@@ -427,7 +422,7 @@ def main(argv=None):
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = config.parse_config(fh.read())
         return _execute(args.command, cfg, args.out or cfg.out_dir)
-    except (ParseError, ValidationError, UnknownModel, BadParams, OSError, MemoryError) as err:
+    except (ParseError, ValidationError, BadParams, OSError, MemoryError) as err:
         print("config error: %s" % err, file=sys.stderr)
         return 2
     except DosdeError as err:

@@ -5,7 +5,9 @@ bare strings, or bracketed real lists like ``[0.5, -2.0]``.  Unknown
 sections or keys are errors.  ``_KEYS`` names each key once: its type
 is that of its ``RunConfig`` default, and every number but ``run.seed``
 must be positive.  Model parameters are validated against the named
-builtin's accepted parameter list.  ``serialize`` emits a
+builtin's accepted parameter list.  A Brownian grid with more normals
+than an array can index is refused, naming the key that sets it, for
+every command.  ``serialize`` emits a
 canonical form (every key, sorted, 17 significant digits) whose parse
 round-trips to an equal config, and ``config_hash`` fingerprints it.
 """
@@ -15,8 +17,8 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from . import integrators
-from .errors import ParseError, ShapeMismatch, ValidationError
+from . import integrators, paths
+from .errors import InvalidEnsemble, ParseError, ShapeMismatch, ValidationError
 from .models import PARAM_NAMES
 
 _SCHEMES = integrators._SCHEMES
@@ -177,9 +179,19 @@ def validate_config(cfg):
     if cfg.dt > cfg.t_end:
         raise ValidationError("dt exceeds t_end", field="run.dt")
     try:
-        integrators.grid_steps(cfg.t_end, cfg.dt)
+        n_steps = integrators.grid_steps(cfg.t_end, cfg.dt)
     except ShapeMismatch as err:
         raise ValidationError(str(err), field="run.t_end") from None
+    # The run's grid, compare's finest level and Picard's grid, checked by
+    # paths.generate, which draws nothing; every builtin has m <= dim.
+    for name, steps, level in (("run.dt", n_steps, 0),
+                               ("compare.levels", n_steps, cfg.compare_levels - 1),
+                               ("picard.grid", cfg.picard_grid, 0)):
+        try:
+            paths.generate(cfg.seed, steps, cfg.dt, cfg.n_atoms, cfg.dim, level=level)
+        except InvalidEnsemble:
+            raise ValidationError("makes a Brownian grid too large to index at %d atoms and "
+                                  "dim %d" % (cfg.n_atoms, cfg.dim), field=name) from None
     if cfg.rank > cfg.dim:
         raise ValidationError("rank exceeds dim", field="run.rank")
     if cfg.harness_rank > min(cfg.harness_dim, cfg.harness_atoms):

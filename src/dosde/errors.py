@@ -37,16 +37,9 @@ class RankDeficient(DosdeError):
     """The second-moment spectrum has fewer usable modes than requested."""
 
 
-class UnknownModel(DosdeError):
-    """Requested builtin model name is not registered."""
-
-
 class BadParams(DosdeError):
-    """Builtin model parameters are missing, unknown, or out of range."""
-
-
-class NoFloorDeclared(DosdeError):
-    """Model declares no uniform noise floor (sigma_B = 0)."""
+    """A builtin model was asked for by an unregistered name, or with
+    parameters that are unknown, non-finite or out of range."""
 
 
 class ParseError(DosdeError):

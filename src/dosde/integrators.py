@@ -279,21 +279,25 @@ def step_ambient_dlra(model, state, dW, dt, *, R):
 class Trajectory:
     """Recorded output of ``integrate``.
 
-    ``times``/``states`` hold strided snapshots (always including the
-    initial and final state), ``diag`` one StepReport per step (plus a
-    failure row at each Gram singularity), ``events`` the rank events,
-    in time order (the first is the explosion time), and ``completed`` is
-    False when the run halted before t_end: at a singular Gram without
-    a policy, or at an explosion the policy could not restart (no mode
-    kept, or its restart budget spent).
+    ``states`` holds strided snapshots (always including the initial
+    and final state), and ``times`` reads their times off them.
+    ``diag`` holds one StepReport per step (plus a failure row at each
+    Gram singularity), ``events`` the rank events, in time order (the
+    first is the explosion time), and ``completed`` is False when the
+    run halted before t_end: at a singular Gram without a policy, or at
+    an explosion the policy could not restart (no mode kept, or its
+    restart budget spent).
     """
 
     scheme: str
-    times: list
     states: list
     diag: list
     events: list
     completed: bool
+
+    @property
+    def times(self):
+        return [s.t for s in self.states]
 
 
 def grid_steps(t_end, dt):
@@ -401,9 +405,7 @@ def integrate(
         step = functools.partial(step_ambient_dlra, R=R)
 
     # Steppers return fresh states, so snapshots need no copy.
-    traj = Trajectory(
-        scheme=scheme, times=[t0], states=[state], diag=[], events=[], completed=True
-    )
+    traj = Trajectory(scheme=scheme, states=[state], diag=[], events=[], completed=True)
     if policy is not None:
         policy.attach(state)
 
@@ -431,6 +433,5 @@ def integrate(
                 traj.completed = False
                 break
         if not singular and (k % record_stride == 0 or k == n_steps):
-            traj.times.append(state.t)
             traj.states.append(state)
     return traj

@@ -21,8 +21,9 @@ whole leaves at a time and never held whole.
 The second half of the module collects the closed-form scalar bounds
 used by the well-posedness and explosion machinery: the invertibility
 radius ``eta_radius``, the local contraction window ``picard_delta``,
-the second-moment growth envelope ``stability_bound_M`` and the 2k-th
-moment envelope ``moment_bound_2k``.
+the second-moment growth envelope ``stability_bound_M``, the 2k-th
+moment envelope ``moment_bound_2k`` and the coefficient Gram's uniform
+noise floor ``noise_floor_bound``.
 """
 
 import math
@@ -433,6 +434,14 @@ def _moment_constants(k, T, C_lgb):
     K1 = 3.0 * k * k * C_lgb * T / (1.0 + 1.0 / C_lgb) ** (k - 1)
     K2 = _exp_or_inf(6.0 * k * k * C_lgb * (1.0 + 1.0 / C_lgb) * T)
     return K1, K2
+
+
+def noise_floor_bound(sigma_B, C_lgb, M_T, sigma_Y0):
+    """Uniform floor min(sigma_Y0, sigma_B^2 / (4 C_lgb (1 + M_T))) of the
+    coefficient Gram spectrum: sigma_Y0 is its least eigenvalue at time 0,
+    M_T the second-moment envelope, and sigma_B > 0 the noise floor."""
+    _require_positive(sigma_B=sigma_B, C_lgb=C_lgb)
+    return min(sigma_Y0, sigma_B**2 / (4.0 * C_lgb * (1.0 + M_T)))
 
 
 @dataclass

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
-from .errors import BadParams, InvalidEnsemble, UnknownModel
+from .errors import BadParams, InvalidEnsemble
 from .integrators import DoState
 from .paths import _MASK64, philox
 
@@ -254,13 +254,13 @@ PARAM_NAMES = {
 def builtin(name, **params):
     """Construct a builtin model by name.
 
-    Raises UnknownModel for unregistered names and BadParams for unknown,
+    Raises BadParams for an unregistered name and for unknown,
     non-finite or out-of-range parameters.
     """
     try:
         factory = _BUILTINS[name]
     except KeyError:
-        raise UnknownModel(
+        raise BadParams(
             "unknown model %r; builtins: %s" % (name, ", ".join(sorted(_BUILTINS)))
         ) from None
     allowed = set(PARAM_NAMES[name])

@@ -358,7 +358,7 @@ def generate(seed, n_steps, dt, N, m, level=0):
         raise InvalidEnsemble("N and m must be positive integers")
     if not (type(level) is int and level >= 0):
         raise InvalidEnsemble("level must be a non-negative integer, got %r" % (level,))
-    if (n_steps << level) * N * m > np.iinfo(np.intp).max:
+    if level >= 64 or (n_steps << level) * N * m > np.iinfo(np.intp).max:
         raise InvalidEnsemble("level %d makes more fine normals than an array can index" % level)
     if not (isinstance(dt, float) and math.isfinite(dt) and dt > 0):
         raise InvalidEnsemble("dt must be a positive finite real, got %r" % (dt,))

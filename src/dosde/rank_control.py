@@ -12,7 +12,8 @@ coefficient Gram, and the run restarts at a strictly smaller rank (at
 rank 1, whose Gram is still invertible, it re-factors at rank 1), with
 the Brownian counters continuing where they left off.  The rank events
 ``integrate`` collects are the run's explosion record: the first one
-is the explosion time.
+is the explosion time.  The closed-form bounds, the window each crossing
+logs and the noise floor under the Gram spectrum, live in ``kernels``.
 
 ``truncate`` re-makes the factored state it is given with
 ``dataclasses.replace``, so this module does not import
@@ -25,7 +26,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .errors import NoFloorDeclared
 
 DEFAULT_CAP_FACTOR = 1e8
 DEFAULT_SV_TOLERANCE = 1e-8
@@ -168,15 +168,3 @@ class RestartPolicy:
                 self.attach(new_state)
                 return new_state, event
         return None, truncate(state, self.sv_tolerance)[1]
-
-
-def noise_floor_bound(model, bounds, sigma_Y0):
-    """Uniform lower bound on the coefficient Gram spectrum.
-
-    min(sigma_Y0, sigma_B^2 / (4 C_lgb (1 + M_T))) where sigma_Y0 is the
-    smallest Gram eigenvalue at time zero and M_T the second-moment
-    envelope.  Raises NoFloorDeclared when the model has sigma_B = 0.
-    """
-    if model.sigma_B <= 0:
-        raise NoFloorDeclared("%s declares no uniform noise floor" % model.name)
-    return min(sigma_Y0, model.sigma_B**2 / (4.0 * model.C_lgb * (1.0 + bounds.M_T)))

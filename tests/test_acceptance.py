@@ -21,7 +21,7 @@ from dosde.diagnostics import l2_distance, projector_lipschitz_harness
 from dosde.integrators import DoState, integrate
 from dosde.models import _rng, builtin, default_initial, whiten
 from dosde.picard import picard_local_solve
-from dosde.rank_control import RestartPolicy, noise_floor_bound
+from dosde.rank_control import RestartPolicy
 
 
 def _report(num, title, ok, detail=""):
@@ -343,7 +343,8 @@ def test_10_noise_floor_keeps_spectrum_up():
         bounds = kernels.well_posedness_bounds(
             2, model.d, rho, rep0.inv_frobenius, 10.0, E_Y0, model.C_lgb
         )
-        floor = noise_floor_bound(model, bounds, rep0.eigenvalues[0])
+        floor = kernels.noise_floor_bound(model.sigma_B, model.C_lgb, bounds.M_T,
+                                          rep0.eigenvalues[0])
         elapsed = time.monotonic() - t0
         assert floor > 0.0
         assert lam_min >= 0.5 * floor, (lam_min, floor)

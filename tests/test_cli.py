@@ -138,7 +138,7 @@ def test_trajectory_writer_holds_one_block_of_values(tmp_path):
     from dosde.integrators import FullState, Trajectory
 
     X = numpy.random.default_rng(0).standard_normal((2048, 32))
-    traj = Trajectory("reference", [0.0], [FullState(t=0.0, X=X)], [], [], True)
+    traj = Trajectory("reference", [FullState(t=0.0, X=X)], [], [], True)
     tracemalloc.start()
     try:
         cli._write_trajectory(str(tmp_path / "trajectory.csv"), traj)
@@ -975,6 +975,75 @@ def test_an_atom_count_that_cannot_be_allocated_is_a_config_error(command, tmp_p
     assert "config error: Unable to allocate" in capsys.readouterr().err
 
 
+_SMALL_GRID = "run.t_end = 0.1\nrun.dt = 0.05\n"
+
+
+@pytest.mark.parametrize("command, key, grid", [
+    ("compare", "compare.levels", _SMALL_GRID + "compare.levels = 62\n"),
+    ("simulate", "run.dt", "run.t_end = 1\nrun.dt = 1e-300\n"),
+    ("explosion-study", "run.dt", "run.t_end = 1\nrun.dt = 1e-300\n"),
+    ("picard-demo", "picard.grid", _SMALL_GRID + "picard.grid = 4611686018427387904\n"),
+], ids=["compare-levels", "simulate-dt", "explosion-study-dt", "picard-demo-grid"])
+def test_a_brownian_grid_that_cannot_be_indexed_is_a_config_error(
+        command, key, grid, tmp_path, monkeypatch, capsys):
+    # More than 2^63 normals at 8 atoms x 4 dims: refused, naming the
+    # key, before a normal is drawn.
+    from dosde import cli, paths
+
+    def no_draw(*args):
+        raise AssertionError("a normal was drawn")
+
+    monkeypatch.setattr(paths, "_draw_normals", no_draw)
+    text = "model.name = ou\nrun.dim = 4\nrun.rank = 2\nrun.n_atoms = 8\n" + grid
+    out = tmp_path / "out"
+    assert cli.main([command, _write(tmp_path, text), "--out", str(out)]) == 2
+    assert "config error: %s: " % key in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Exit code and stderr prefix of every error a command may raise.  A new
+# error class fails the test below until it is given its row here.
+_CONFIG_ERROR = (2, "config error: ")
+_NUMERICAL_FAILURE = (3, "numerical failure: ")
+_EXIT_CODES = {
+    "ParseError": _CONFIG_ERROR,
+    "ValidationError": _CONFIG_ERROR,
+    "BadParams": _CONFIG_ERROR,
+    "OSError": _CONFIG_ERROR,
+    "MemoryError": _CONFIG_ERROR,
+    "InvalidEnsemble": _NUMERICAL_FAILURE,
+    "ShapeMismatch": _NUMERICAL_FAILURE,
+    "InvalidBoundInput": _NUMERICAL_FAILURE,
+    "SingularGram": _NUMERICAL_FAILURE,
+    "NonFiniteState": _NUMERICAL_FAILURE,
+    "RankDeficient": _NUMERICAL_FAILURE,
+}
+
+
+def test_every_error_class_has_its_exit_code(tmp_path, monkeypatch, capsys):
+    from dosde import cli
+    from dosde.errors import DosdeError
+
+    classes, todo = [], [DosdeError]
+    while todo:
+        found = todo.pop().__subclasses__()
+        classes += found
+        todo += found
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, BASE.format(out=out))
+    for cls in classes + [OSError, MemoryError]:
+        assert cls.__name__ in _EXIT_CODES, "%s has no exit code" % cls.__name__
+
+        def stub(cfg, cls=cls):
+            raise cls("stubbed")
+
+        monkeypatch.setitem(cli._COMMANDS, "simulate", stub)
+        code, prefix = _EXIT_CODES[cls.__name__]
+        assert cli.main(["simulate", cfg]) == code, cls.__name__
+        assert capsys.readouterr().err == prefix + "stubbed\n"
+    assert not out.exists()
+
+
 # Half the draws are admissible for every builtin parameter.
 _FUZZ_PARAMS = st.one_of(
     st.sampled_from([0.5, 2.0]),
@@ -988,7 +1057,9 @@ def _tiny_configs(draw):
     steps, whose model parameters may be negative, zero or non-finite;
     or, oversize, 10^11 to 10^12 atoms, which fail at the first
     allocation (no size in between, which would really allocate).  The
-    third item says whether the output target lies under a regular file."""
+    third item says whether the output target lies under a regular file,
+    and the fourth whether compare's finest grid or Picard's has more
+    than 2^63 normals, too many to index."""
     from dosde import cli
     from dosde.models import PARAM_NAMES
 
@@ -1016,17 +1087,24 @@ def _tiny_configs(draw):
             size = draw(st.integers(10**11, 10**12))
         lines.append("%s = %d" % (key, size))
     dt = draw(st.sampled_from([0.05] * 6 + [-0.05, math.nan]))
+    levels = draw(st.integers(min_value=1, max_value=2))
+    grid = draw(st.integers(min_value=1, max_value=4))
+    oversize_grid = draw(st.integers(0, 9)) == 0
+    if oversize_grid and draw(st.booleans()):
+        levels = draw(st.integers(min_value=63, max_value=10**30))
+    elif oversize_grid:
+        grid = draw(st.integers(min_value=2**63, max_value=2**100))
     lines += [
         "run.scheme = %s" % draw(st.sampled_from(["do", "reference", "ambient"])),
         "compare.scheme_b = %s" % draw(st.sampled_from(["do", "reference", "ambient"])),
         "run.dt = %r" % dt,
         "run.t_end = %r" % (2 * dt),
-        "compare.levels = %d" % draw(st.integers(min_value=1, max_value=2)),
-        "picard.grid = %d" % draw(st.integers(min_value=1, max_value=4)),
+        "compare.levels = %d" % levels,
+        "picard.grid = %d" % grid,
         "picard.n_iters = %d" % draw(st.integers(min_value=1, max_value=3)),
         "harness.n_trials = %d" % draw(st.integers(min_value=1, max_value=2)),
     ]
-    return command, "\n".join(lines) + "\n", draw(st.booleans())
+    return command, "\n".join(lines) + "\n", draw(st.booleans()), oversize_grid
 
 
 @given(_tiny_configs())
@@ -1034,12 +1112,13 @@ def _tiny_configs(draw):
 def test_every_command_exits_with_a_documented_code(case):
     # 0 success, 2 config error, 3 numerical failure: no other code and
     # no traceback, whatever the sizes and parameters.  An output
-    # directory that cannot be made is a config error.
+    # directory that cannot be made, and a Brownian grid too large to
+    # index, are config errors.
     import tempfile
 
     from dosde import cli
 
-    command, text, under_file = case
+    command, text, under_file, oversize_grid = case
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "run.cfg")
         with open(cfg, "w", encoding="utf-8") as fh:
@@ -1048,4 +1127,5 @@ def test_every_command_exits_with_a_documented_code(case):
         if under_file:
             open(out, "w").close()
             out = os.path.join(out, "run")
-        assert cli.main([command, cfg, "--out", out]) in ((2,) if under_file else (0, 2, 3))
+        expected = (2,) if under_file or oversize_grid else (0, 2, 3)
+        assert cli.main([command, cfg, "--out", out]) in expected

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dosde import kernels
-from dosde.errors import BadParams, InvalidEnsemble, UnknownModel
+from dosde.errors import BadParams, InvalidEnsemble
 from dosde.integrators import DoState
 from dosde.models import _rng, builtin, default_initial, whiten
 
@@ -64,7 +64,7 @@ def _probe(model, n_probe, seed):
 
 
 def test_unknown_model():
-    with pytest.raises(UnknownModel):
+    with pytest.raises(BadParams, match="unknown model"):
         builtin("ornstein")
 
 

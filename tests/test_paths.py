@@ -93,6 +93,8 @@ def test_rejects_bad_arguments():
     # 4 steps of 4 atoms: 2^63 fine normals at level 59, one past np.intp
     (4, 1, 59, "level 59 makes more fine normals than an array can index"),
     (4, 2, 70, "level 70 makes more fine normals than an array can index"),
+    # a shift by 10^20 bits would overflow before the comparison
+    (4, 1, 10**20, "level %d makes more fine normals than an array can index" % 10**20),
 ])
 def test_rejects_bad_sizes_and_levels(N, m, level, needle):
     with pytest.raises(InvalidEnsemble, match=needle):

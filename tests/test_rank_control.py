@@ -9,10 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dosde import kernels, paths
-from dosde.errors import NoFloorDeclared, ShapeMismatch
+from dosde.errors import InvalidBoundInput, ShapeMismatch
 from dosde.integrators import DoState, StepReport, integrate
 from dosde.models import builtin, default_initial, whiten
-from dosde.rank_control import RankEvent, RestartPolicy, noise_floor_bound, truncate
+from dosde.rank_control import RankEvent, RestartPolicy, truncate
 
 
 def _policy(n_max=8):
@@ -329,9 +329,9 @@ def test_restart_policy_forces_rank_reduction():
 def test_noise_floor_bound():
     model = builtin("additive_floor")
     bounds = kernels.well_posedness_bounds(2, 2, math.sqrt(3), 1.0, 1.0, 2.0, model.C_lgb)
-    floor = noise_floor_bound(model, bounds, sigma_Y0=0.8)
+    floor = kernels.noise_floor_bound(model.sigma_B, model.C_lgb, bounds.M_T, sigma_Y0=0.8)
     expect = model.sigma_B**2 / (4.0 * model.C_lgb * (1.0 + bounds.M_T))
     assert floor == pytest.approx(min(0.8, expect), rel=1e-15)
     nofloor = builtin("mode_crossing")
-    with pytest.raises(NoFloorDeclared):
-        noise_floor_bound(nofloor, bounds, sigma_Y0=0.8)
+    with pytest.raises(InvalidBoundInput, match="sigma_B"):
+        kernels.noise_floor_bound(nofloor.sigma_B, nofloor.C_lgb, bounds.M_T, sigma_Y0=0.8)

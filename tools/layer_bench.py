@@ -149,7 +149,7 @@ def draw_normals_time(n, reps):
 def write_trajectory_time(N, d, reps):
     """ns per value of ``cli._write_trajectory`` on one N x d full state."""
     X = np.random.default_rng(0).standard_normal((N, d))
-    traj = integrators.Trajectory(scheme="reference", times=[0.0],
+    traj = integrators.Trajectory(scheme="reference",
                                   states=[integrators.FullState(t=0.0, X=X)],
                                   diag=[], events=[], completed=True)
     with tempfile.TemporaryDirectory() as tmp:
