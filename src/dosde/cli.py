@@ -12,7 +12,7 @@ the tables, a run's trajectory, diagnostics and events, and manifest.txt
 last.  A command that raises leaves no output directory.
 
 Exit codes: 0 success, 2 config error (also sizes that cannot be
-allocated, a MemoryError, a Brownian grid too large to index, and an
+allocated, a MemoryError, a Brownian grid ``paths.check_grid`` refuses, and an
 output directory that cannot be made, an OSError), 3 numerical failure
 (including a run that stopped before t_end; its outputs are still
 written), 4 self-test failure.  All CSV

@@ -5,11 +5,12 @@ bare strings, or bracketed real lists like ``[0.5, -2.0]``.  Unknown
 sections or keys are errors.  ``_KEYS`` names each key once: its type
 is that of its ``RunConfig`` default, and every number but ``run.seed``
 must be positive.  Model parameters are validated against the named
-builtin's accepted parameter list.  A Brownian grid with more normals
-than an array can index is refused, naming the key that sets it, for
-every command.  ``serialize`` emits a
-canonical form (every key, sorted, 17 significant digits) whose parse
-round-trips to an equal config, and ``config_hash`` fingerprints it.
+builtin's accepted parameter list.  Every command asks the one grid
+rule, ``paths.check_grid``, about one step of ``run.n_atoms`` atoms and
+the run's, compare's finest and Picard's grids at ``run.dim`` channels,
+and refuses a failing one by its key; no path is built.  ``serialize``
+emits a canonical form (every key, sorted, 17 significant digits) whose
+parse round-trips to an equal config, and ``config_hash`` fingerprints it.
 """
 
 import hashlib
@@ -182,16 +183,15 @@ def validate_config(cfg):
         n_steps = integrators.grid_steps(cfg.t_end, cfg.dt)
     except ShapeMismatch as err:
         raise ValidationError(str(err), field="run.t_end") from None
-    # The run's grid, compare's finest level and Picard's grid, checked by
-    # paths.generate, which draws nothing; every builtin has m <= dim.
-    for name, steps, level in (("run.dt", n_steps, 0),
+    # One step, the run's, compare's finest and Picard's grid; every builtin has m <= dim.
+    for name, steps, level in (("run.n_atoms", 1, 0), ("run.dt", n_steps, 0),
                                ("compare.levels", n_steps, cfg.compare_levels - 1),
                                ("picard.grid", cfg.picard_grid, 0)):
         try:
-            paths.generate(cfg.seed, steps, cfg.dt, cfg.n_atoms, cfg.dim, level=level)
-        except InvalidEnsemble:
-            raise ValidationError("makes a Brownian grid too large to index at %d atoms and "
-                                  "dim %d" % (cfg.n_atoms, cfg.dim), field=name) from None
+            paths.check_grid(steps, cfg.n_atoms, cfg.dim, level)
+        except InvalidEnsemble as err:
+            raise ValidationError("a Brownian grid at %d atoms and dim %d: %s"
+                                  % (cfg.n_atoms, cfg.dim, err), field=name) from None
     if cfg.rank > cfg.dim:
         raise ValidationError("rank exceeds dim", field="run.rank")
     if cfg.harness_rank > min(cfg.harness_dim, cfg.harness_atoms):

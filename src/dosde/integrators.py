@@ -18,7 +18,8 @@ one contract, ``step(model, state, dW, dt) -> (state, StepReport)``:
 snapshots and one StepReport per step, and leaves the explosion
 decision to an optional policy hook (see rank_control) that can
 truncate and restart the factorization mid-run; without one, only a
-singular Gram stops the run.
+singular Gram stops the run.  Either way a factored step whose
+``ortho_defect`` exceeds ``MAX_ORTHO_DEFECT`` ends the run.
 """
 
 import functools
@@ -37,6 +38,11 @@ from .errors import (
 )
 
 _SCHEMES = ("do", "ambient", "reference")
+
+# In the DO gauge ortho_defect = ||dt^2 Udot Udot^T||_F, the square of
+# the basis step's size.  Past this, explicit Euler on the basis (a
+# stiff drift, say) resolves nothing, and the QR retraction would hide it.
+MAX_ORTHO_DEFECT = 0.25
 
 
 @dataclass
@@ -284,9 +290,9 @@ class Trajectory:
     ``diag`` holds one StepReport per step (plus a failure row at each
     Gram singularity), ``events`` the rank events, in time order (the
     first is the explosion time), and ``completed`` is False when the
-    run halted before t_end: at a singular Gram without a policy, or at
+    run halted before t_end: at a singular Gram without a policy, at
     an explosion the policy could not restart (no mode kept, or its
-    restart budget spent).
+    restart budget spent), or at a basis step past ``MAX_ORTHO_DEFECT``.
     """
 
     scheme: str
@@ -358,6 +364,14 @@ def integrate(
     retries the same increment; a cap crossing has already consumed its
     step.  ``traj.events`` is the explosion record: its first event is
     the explosion time.
+
+    With or without a policy, a step whose ``ortho_defect`` exceeds
+    ``MAX_ORTHO_DEFECT`` ends the run the same way, with one halt event
+    at the time it reached and its state unrecorded.  The guard sees
+    each step before ``policy.observe`` does: near an explosion U'
+    grows with ||C_Y^-1||, and a step past the guard ends the run
+    without being observed or restarted, since no restart can repair a
+    basis step explicit Euler did not resolve.
     """
     if scheme not in _SCHEMES:
         raise ShapeMismatch("unknown scheme %r; expected one of %s" % (scheme, _SCHEMES))
@@ -422,6 +436,10 @@ def integrate(
             k += 1
             state.t = report.t = k * dt  # fixed grid, no accumulated float drift
         traj.diag.append(report)
+        if report.ortho_defect > MAX_ORTHO_DEFECT:
+            traj.events.append(rank_control.truncate(state)[1])
+            traj.completed = False
+            break
         exploded = singular if policy is None else policy.observe(report, state)
         if exploded:
             if policy is None:

@@ -44,7 +44,15 @@ at a level or built from a finer path, is made by its adds.
 whole coarsest steps, drawing each finest step once and handing each
 level's path its window with ``BrownianPath.hold``; a held path
 refuses every step outside its window, so a ladder's memory does not
-grow with its step count.
+grow with its step count.  Only the finest level is a ``generate``
+path; the coarser ones are held paths that never draw, so every path
+that exists is drawn or held.
+
+``check_grid`` is the one rule for which grid may exist: positive
+sizes, a level below 64, fine normals that ``np.intp`` can index, and
+one requested step's fine values in one float64 array.  ``generate``
+applies it, and ``config`` asks it about every grid a run will make
+before anything is built.
 """
 
 import math
@@ -306,17 +314,22 @@ def lockstep(seed, n_steps, dt, N, m, levels, width=None):
     the window's steps, from the previous window's ``stop << l`` (0 for
     the first) up to ``stop << l``.  The blocks are overwritten by the
     next window, and a ladder path asked for a step outside its window
-    raises IndexError.  A ``levels`` that is not a positive int, or a
-    ``width`` that is neither None nor one, raises InvalidEnsemble
-    before anything is drawn.
+    raises IndexError.  Only the finest level is made by ``generate``,
+    once; each coarser level is a ``BrownianPath`` that is only ever
+    held, so it draws nothing.  A ``levels`` that is not a positive
+    int, a ``width`` that is neither None nor one, or a grid that
+    ``check_grid`` refuses raises InvalidEnsemble before anything is
+    drawn.
     """
     if not (type(levels) is int and levels >= 1):
         raise InvalidEnsemble("levels must be a positive integer, got %r" % (levels,))
     if not (width is None or (type(width) is int and width >= 1)):
         raise InvalidEnsemble("width must be None or a positive integer, got %r" % (width,))
     top = levels - 1
-    ladder = [generate(seed, n_steps << lvl, dt / (1 << lvl), N, m, level=top - lvl)
-              for lvl in range(levels)]
+    check_grid(n_steps, N, m, top)  # before n_steps << top is formed
+    finest = generate(seed, n_steps << top, dt / (1 << top), N, m)
+    ladder = [BrownianPath(seed, n_steps << lvl, dt / (1 << lvl), N, m, top - lvl)
+              for lvl in range(top)] + [finest]
     span = _chunk_steps((N * max(m, width or m)) << top)
     blocks = [np.empty((min(span, n_steps) << lvl, N, m)) for lvl in range(levels)]
     for start in range(0, n_steps, span):
@@ -331,11 +344,33 @@ def lockstep(seed, n_steps, dt, N, m, levels, width=None):
         yield stop, ladder
 
 
+def check_grid(n_steps, N, m, level):
+    """Raise InvalidEnsemble unless ``n_steps`` steps of ``N`` atoms x
+    ``m`` channels, each of 2**level fine steps, may exist.
+
+    The one grid rule: positive integer sizes, a ``level`` below 64,
+    (n_steps << level) N m fine normals that ``np.intp`` can index, and
+    one step's (N m << level) fine values in one float64 array, the
+    least a fill holds (at level 0, one fine step).  Nothing is built.
+    """
+    if not (type(n_steps) is int and n_steps >= 1):
+        raise InvalidEnsemble("n_steps must be a positive integer, got %r" % (n_steps,))
+    if not (type(N) is int and N >= 1 and type(m) is int and m >= 1):
+        raise InvalidEnsemble("N and m must be positive integers")
+    if not (type(level) is int and level >= 0):
+        raise InvalidEnsemble("level must be a non-negative integer, got %r" % (level,))
+    if level >= 64 or (n_steps << level) * N * m > np.iinfo(np.intp).max:
+        raise InvalidEnsemble("level %d makes more fine normals than an array can index" % level)
+    if (N * m << level) > np.iinfo(np.intp).max // 8:
+        raise InvalidEnsemble("one step at level %d has %d float64 values, more than one "
+                              "array can hold" % (level, N * m << level))
+
+
 def generate(seed, n_steps, dt, N, m, level=0):
     """Describe Brownian increments for ``n_steps`` steps of size ``dt``.
 
     Nothing is drawn here: ``increment(k)`` streams steps in bounded
-    chunks.
+    chunks.  The grid must pass ``check_grid``.
 
     Parameters
     ----------
@@ -346,20 +381,11 @@ def generate(seed, n_steps, dt, N, m, level=0):
     level : int
         Dyadic refinement depth.  Draws happen on the fine grid of
         n_steps * 2**level steps of size dt / 2**level and are summed
-        pairwise back up to the requested grid.  The fine grid's
-        n_steps * 2**level * N * m normals must be indexable by
-        ``np.intp``.
+        pairwise back up to the requested grid.
     """
     if type(seed) is not int:
         raise InvalidEnsemble("seed must be an integer, got %r" % (seed,))
-    if not (type(n_steps) is int and n_steps >= 1):
-        raise InvalidEnsemble("n_steps must be a positive integer, got %r" % (n_steps,))
-    if not (type(N) is int and N >= 1 and type(m) is int and m >= 1):
-        raise InvalidEnsemble("N and m must be positive integers")
-    if not (type(level) is int and level >= 0):
-        raise InvalidEnsemble("level must be a non-negative integer, got %r" % (level,))
-    if level >= 64 or (n_steps << level) * N * m > np.iinfo(np.intp).max:
-        raise InvalidEnsemble("level %d makes more fine normals than an array can index" % level)
+    check_grid(n_steps, N, m, level)
     if not (isinstance(dt, float) and math.isfinite(dt) and dt > 0):
         raise InvalidEnsemble("dt must be a positive finite real, got %r" % (dt,))
     return BrownianPath(seed=seed, n_steps=n_steps, dt=dt, N=N, m=m, level=level)

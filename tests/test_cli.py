@@ -929,6 +929,47 @@ def test_each_fine_normal_is_drawn_once(name, fine_steps, tmp_path, monkeypatch)
     assert sorted(drawn) == list(range(fine_steps))
 
 
+@pytest.mark.parametrize("name, generated", [
+    ("simulate-do-ou", 1),
+    ("compare-do-ambient-additive_floor", 1),  # three levels, one generate
+    ("explosion-study-mode_crossing", 1),  # restarts once at t_star
+    ("picard-demo", 1),
+])
+def test_every_path_that_exists_is_drawn(name, generated, tmp_path, monkeypatch):
+    # Counted as the benchmark's tracer counts, (n_steps << level) N m per
+    # path that paths.generate returns, the normals equal those drawn:
+    # parsing a config builds no path, and a lockstep ladder is one
+    # generated path plus held ones that never draw.
+    import sys
+
+    from dosde import cli, config, paths
+
+    counted, drawn = [], []
+    generate, draw = paths.generate, paths._draw_normals
+
+    def counting_generate(*args, **kwargs):
+        path = generate(*args, **kwargs)
+        counted.append((path.n_steps << path.level) * path.N * path.m)
+        return path
+
+    def counting_draw(seed, first_step, out, scale):
+        drawn.append(out.size)
+        return draw(seed, first_step, out, scale)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("dosde"):
+            for attr, value in list(vars(module).items()):
+                if value is generate:
+                    monkeypatch.setattr(module, attr, counting_generate)
+    monkeypatch.setattr(paths, "_draw_normals", counting_draw)
+    command, text = _GOLDEN_RUNS[name]
+    config.parse_config(text)
+    assert counted == [] and drawn == []
+    assert cli.main([command, _write(tmp_path, text), "--out", str(tmp_path / "out")]) == 0
+    assert len(counted) == generated
+    assert sum(counted) == sum(drawn) > 0
+
+
 @pytest.mark.parametrize("model", [
     "model.name = ou\nmodel.kappa = nan\n",
     "model.name = gbm_clipped\nmodel.clip = nan\n",
@@ -973,6 +1014,27 @@ def test_an_atom_count_that_cannot_be_allocated_is_a_config_error(command, tmp_p
             "run.t_end = 0.1\nrun.dt = 0.05\n")
     assert cli.main([command, _write(tmp_path, text), "--out", str(tmp_path / "out")]) == 2
     assert "config error: Unable to allocate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "picard-demo", "explosion-study"])
+@pytest.mark.parametrize("n_atoms", [10**18, 3 * 10**18])
+def test_an_atom_count_too_large_for_one_array_is_a_config_error(
+        command, n_atoms, tmp_path, monkeypatch, capsys):
+    # One step of 10^18 atoms x 4 dims is 3.2e19 bytes, past what one
+    # array can hold, though its 4e18 normals can be indexed; at 3 10^18
+    # atoms they cannot.  Either way the atom count is named.
+    from dosde import cli, paths
+
+    def no_draw(*args):
+        raise AssertionError("a normal was drawn")
+
+    monkeypatch.setattr(paths, "_draw_normals", no_draw)
+    text = ("model.name = ou\nrun.dim = 4\nrun.rank = 2\nrun.n_atoms = %d\n"
+            "run.t_end = 1.0\nrun.dt = 0.5\ncompare.levels = 1\npicard.grid = 2\n" % n_atoms)
+    out = tmp_path / "out"
+    assert cli.main([command, _write(tmp_path, text), "--out", str(out)]) == 2
+    assert "config error: run.n_atoms: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 _SMALL_GRID = "run.t_end = 0.1\nrun.dt = 0.05\n"

@@ -21,6 +21,7 @@ from dosde.errors import (
     SingularGram,
 )
 from dosde.integrators import (
+    MAX_ORTHO_DEFECT,
     DoState,
     FullState,
     _atom_terms,
@@ -31,7 +32,7 @@ from dosde.integrators import (
     step_do,
     step_reference,
 )
-from dosde.models import builtin, default_initial, whiten
+from dosde.models import SdeModel, builtin, default_initial, whiten
 from dosde.diagnostics import l2_distance
 from dosde.picard import picard_local_solve
 
@@ -394,6 +395,62 @@ def test_integrate_without_policy_halts_at_singularity():
     assert traj.events[0].t_event == pytest.approx(1.0, abs=1e-9)
     # the recorded diagnostics end with the inversion failure row
     assert traj.diag[-1].gram_inv_frobenius == math.inf
+
+
+def _heat(d, nu=0.01, m=16):
+    """A 1-D heat equation on d interior points of [0, 1] (Dirichlet
+    Laplacian, h = 1/(d + 1)) with m sine noise modes of weight 1/k.
+    Explicit Euler at dt is stable for r = nu dt 4 / h^2 <= 2."""
+    h = 1.0 / (d + 1)
+    x = np.arange(1, d + 1) * h
+    B = np.column_stack([np.sin(k * np.pi * x) / k for k in range(1, m + 1)])
+
+    def drift(t, X):
+        X = np.asarray(X, dtype=float)
+        out = -2.0 * X
+        out[:, 1:] += X[:, :-1]
+        out[:, :-1] += X[:, 1:]
+        return out * (nu / h**2)
+
+    return SdeModel(name="heat", d=d, m=m, drift=drift, diffusion=lambda t, X: B,
+                    C_Lip=4 * nu / h**2, C_lgb=1.0, sigma_B=0.0, horizon=0.02)
+
+
+def _sine_datum(d, N=1024, R=4):
+    """The first R sine modes, orthonormalized, and whitened coefficients."""
+    x = np.arange(1, d + 1) / (d + 1)
+    U = np.linalg.qr(np.stack([np.sin(k * np.pi * x) for k in range(1, R + 1)]).T)[0].T
+    return DoState(0.0, U.copy(), whiten(np.random.default_rng(1).standard_normal((N, R))))
+
+
+@pytest.mark.parametrize("d, completed", [(512, True), (800, False)])
+def test_a_do_basis_step_explicit_euler_cannot_resolve_ends_the_run(d, completed):
+    # 200 steps of dt = 1e-4 at nu = 0.01: r = 1.05 at d = 512, 2.57 at
+    # d = 800.  Past r = 2 the top sine mode grows 1.57-fold a step from
+    # round-off; unguarded, the d = 800 run completes with ortho_defect
+    # 1.29 and a product of RMS norm 0.72 against 3.3 at d = 512.
+    path = paths.generate(7, 200, 1e-4, 1024, 16)
+    traj = integrate(_heat(d), _sine_datum(d), "do", 0.02, 1e-4, path)
+    assert traj.completed is completed
+    worst = max(r.ortho_defect for r in traj.diag)
+    if completed:
+        assert traj.events == [] and worst < 1e-12
+    else:
+        assert len(traj.events) == 1 and worst > MAX_ORTHO_DEFECT
+        assert traj.events[0].t_event == traj.diag[-1].t < 0.02
+        assert traj.states[-1].t < traj.events[0].t_event  # the guarded state is not recorded
+
+
+@pytest.mark.parametrize("command", ["simulate", "explosion-study"])
+def test_a_guarded_do_run_exits_3(command, tmp_path, monkeypatch, capsys):
+    from dosde import cli
+
+    monkeypatch.setattr(cli, "_setup", lambda cfg: (_heat(cfg.dim), _sine_datum(cfg.dim)))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model.name = ou\nrun.dim = 800\nrun.rank = 4\nrun.n_atoms = 1024\n"
+                   "run.dt = 1e-4\nrun.t_end = 0.02\nrun.seed = 7\n")
+    assert cli.main([command, str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert "numerical failure: do run stopped at t=" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- properties

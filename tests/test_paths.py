@@ -95,6 +95,10 @@ def test_rejects_bad_arguments():
     (4, 2, 70, "level 70 makes more fine normals than an array can index"),
     # a shift by 10^20 bits would overflow before the comparison
     (4, 1, 10**20, "level %d makes more fine normals than an array can index" % 10**20),
+    # 2^62 fine normals can be indexed, but one step's 2^60 float64
+    # values (8 EiB) are one past what one array holds
+    (2**60, 1, 0, "one step at level 0 has %d float64 values" % 2**60),
+    (4, 1, 58, "one step at level 58 has %d float64 values" % 2**60),
 ])
 def test_rejects_bad_sizes_and_levels(N, m, level, needle):
     with pytest.raises(InvalidEnsemble, match=needle):
@@ -109,6 +113,7 @@ def test_rejects_bad_sizes_and_levels(N, m, level, needle):
     (2, 0, "width must be None or a positive integer"),
     (2, 2.0, "width must be None or a positive integer"),
     (2, True, "width must be None or a positive integer"),
+    (10**20, None, "makes more fine normals than an array can index"),
 ])
 def test_lockstep_rejects_bad_levels_and_widths(levels, width, needle, monkeypatch):
     drawn = []
