@@ -140,12 +140,12 @@ def _write_manifest(out_dir, cfg, wall_time, command, traj, model):
 
 
 def _exit_status(t_end, *trajs):
-    """3, with a message, when any run stopped before t_end; 0 otherwise."""
+    """3, naming the time reached, when any run stopped before t_end; 0 otherwise."""
     for traj in trajs:
         if not traj.completed:
             print(
                 "numerical failure: %s run stopped at t=%r before t_end=%r"
-                % (traj.scheme, traj.events[-1].t_event, t_end),
+                % (traj.scheme, traj.diag[-1].t, t_end),
                 file=sys.stderr,
             )
             return 3

@@ -16,10 +16,10 @@ one contract, ``step(model, state, dW, dt) -> (state, StepReport)``:
 
 ``integrate`` picks one stepper, drives it to t_end, records strided
 snapshots and one StepReport per step, and leaves the explosion
-decision to an optional policy hook (see rank_control) that can
-truncate and restart the factorization mid-run; without one, only a
-singular Gram stops the run.  Either way a factored step whose
-``ortho_defect`` exceeds ``MAX_ORTHO_DEFECT`` ends the run.
+decision of a ``do`` run to its policy (see rank_control), which can
+truncate and restart the factorization mid-run; the default one halts
+at a singular Gram.  A factored step whose ``ortho_defect`` exceeds
+``MAX_ORTHO_DEFECT`` ends the run, which is no explosion.
 """
 
 import functools
@@ -288,11 +288,10 @@ class Trajectory:
     ``states`` holds strided snapshots (always including the initial
     and final state), and ``times`` reads their times off them.
     ``diag`` holds one StepReport per step (plus a failure row at each
-    Gram singularity), ``events`` the rank events, in time order (the
-    first is the explosion time), and ``completed`` is False when the
-    run halted before t_end: at a singular Gram without a policy, at
-    an explosion the policy could not restart (no mode kept, or its
-    restart budget spent), or at a basis step past ``MAX_ORTHO_DEFECT``.
+    Gram singularity), ``events`` the policy's rank events, in time
+    order (the first is the explosion time), and ``completed`` is False
+    when the run halted before t_end: at an explosion the policy could
+    not restart, or at a basis step past ``MAX_ORTHO_DEFECT`` (no event).
     """
 
     scheme: str
@@ -344,12 +343,14 @@ def integrate(
         round(t_end/dt) steps with matching atom and channel counts.
     record_stride : a positive int; a state is recorded at every global
         step k that is a multiple of it, and at the start and the end.
-    policy : optional rank/restart hook ("do" only), the one judge of an
+    policy : rank/restart hook ("do" only), the one judge of an
         explosion, with three methods: ``attach(state)`` starts it on the
         starting state; ``observe(report, state) -> bool`` sees every step
         report (and the state it left) and says whether the step
         exploded; ``restart(state) -> (DoState | None, RankEvent)``
         refactors at the event and re-attaches itself to the new state.
+        Defaults to ``RestartPolicy(model, n_max=0, cap_factor=inf,
+        max_restarts=0)``, which halts at a singular Gram.
     R : an int rank in 1..d for the ambient scheme (defaults to the
         initial rank).
 
@@ -357,21 +358,19 @@ def integrate(
     memory runs window by window, each run resuming from the last one's
     ``traj.states[-1]``, as ``compare`` does.
 
-    Without a policy only a singular Gram (SingularGram) explodes; the
-    run records a halt event and returns with ``completed=False``.  With
-    a policy, an explosion restarts through it, and a halt it returns
-    (no state) ends the run the same way.  A restart after SingularGram
-    retries the same increment; a cap crossing has already consumed its
-    step.  ``traj.events`` is the explosion record: its first event is
-    the explosion time.
+    An explosion the policy observes restarts through it, and a halt it
+    returns (no state) ends the run with ``completed=False``.  A
+    restart after SingularGram retries the same increment; a cap
+    crossing has already consumed its step.  ``traj.events`` is the
+    explosion record: its first event is the explosion time.
 
-    With or without a policy, a step whose ``ortho_defect`` exceeds
-    ``MAX_ORTHO_DEFECT`` ends the run the same way, with one halt event
-    at the time it reached and its state unrecorded.  The guard sees
-    each step before ``policy.observe`` does: near an explosion U'
-    grows with ||C_Y^-1||, and a step past the guard ends the run
-    without being observed or restarted, since no restart can repair a
-    basis step explicit Euler did not resolve.
+    A step whose ``ortho_defect`` exceeds ``MAX_ORTHO_DEFECT`` ends the
+    run the same way, with no rank event and its state unrecorded at
+    the time it reached, ``traj.diag[-1].t``.  The guard sees each step
+    before ``policy.observe`` does: near an explosion U' grows with
+    ||C_Y^-1||, and a step past the guard ends the run without being
+    observed or restarted, since no restart can repair a basis step
+    explicit Euler did not resolve.
     """
     if scheme not in _SCHEMES:
         raise ShapeMismatch("unknown scheme %r; expected one of %s" % (scheme, _SCHEMES))
@@ -403,6 +402,8 @@ def integrate(
             raise ShapeMismatch("the 'do' scheme needs a factored initial datum")
         U0, Y0 = initial.U.copy(order="K"), initial.Y.copy(order="K")
         state, step = DoState(t=t0, U=U0, Y=Y0), step_do
+        if policy is None:
+            policy = rank_control.RestartPolicy(model, n_max=0, cap_factor=math.inf, max_restarts=0)
     else:
         X0 = np.array(initial.product(), dtype=float, order="K")
         state, step = FullState(t=t0, X=X0), step_reference
@@ -437,15 +438,10 @@ def integrate(
             state.t = report.t = k * dt  # fixed grid, no accumulated float drift
         traj.diag.append(report)
         if report.ortho_defect > MAX_ORTHO_DEFECT:
-            traj.events.append(rank_control.truncate(state)[1])
             traj.completed = False
             break
-        exploded = singular if policy is None else policy.observe(report, state)
-        if exploded:
-            if policy is None:
-                state, event = None, rank_control.truncate(state)[1]
-            else:
-                state, event = policy.restart(state)
+        if policy is not None and policy.observe(report, state):
+            state, event = policy.restart(state)
             traj.events.append(event)
             if state is None:
                 traj.completed = False

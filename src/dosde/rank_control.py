@@ -11,9 +11,9 @@ re-factored by spectral truncation of E[X X^T], read off the R x R
 coefficient Gram, and the run restarts at a strictly smaller rank (at
 rank 1, whose Gram is still invertible, it re-factors at rank 1), with
 the Brownian counters continuing where they left off.  The rank events
-``integrate`` collects are the run's explosion record: the first one
-is the explosion time.  The closed-form bounds, the window each crossing
-logs and the noise floor under the Gram spectrum, live in ``kernels``.
+``integrate`` collects are the run's explosion record, Gram explosions
+only; the first is the explosion time.  Closed-form bounds, the window
+each crossing logs and the Gram spectrum's noise floor live in ``kernels``.
 
 ``truncate`` re-makes the factored state it is given with
 ``dataclasses.replace``, so this module does not import
@@ -59,10 +59,10 @@ def truncate(state, sv_tolerance=DEFAULT_SV_TOLERANCE, max_rank=None):
     E[X X^T] = U^T C_Y U, so the second moment has the eigenvectors
     U^T v_k for the eigenpairs (gamma_k, v_k) of C_Y.  Keeps the modes
     with gamma_k > ``sv_tolerance * trace``, at most ``max_rank`` of them;
-    with Q = U^T V_keep (signs fixed) the new state is U' = Q^T, Y' = X Q,
-    whose reconstruction error is the square root of the discarded mass
-    E|Y V_drop|^2, measured directly on the dropped eigenvectors rather
-    than as a trace difference, which would cancel to about eps * trace.
+    with Q = U^T V_keep (signs fixed) the new state is U' = Q^T and
+    Y' = X Q = Y (U Q), formed without the N x d X.  Its error is the
+    root of the discarded mass E|Y V_drop|^2, measured on the dropped
+    eigenvectors, not as a trace difference that cancels to eps * trace.
     Returns (DoState, or None when no mode is kept, RankEvent).
     """
     rep = kernels.gram(state.Y)
@@ -80,7 +80,7 @@ def truncate(state, sv_tolerance=DEFAULT_SV_TOLERANCE, max_rank=None):
     if keep == 0:
         return None, event
     Q = kernels.fix_signs(state.U.T @ V[:, :keep])
-    return replace(state, U=Q.T.copy(), Y=state.product() @ Q), event
+    return replace(state, U=Q.T.copy(), Y=state.Y @ (state.U @ Q)), event
 
 
 class RestartPolicy:
@@ -113,7 +113,9 @@ class RestartPolicy:
         self.restarts = 0
 
     def attach(self, state):
-        base_inv = kernels.gram(state.Y).inv_frobenius
+        # only a cap or a crossing level reads the starting Gram
+        measured = self.n_max > 0 or math.isfinite(self.cap_factor)
+        base_inv = kernels.gram(state.Y).inv_frobenius if measured else math.inf
         y_norm_sq = kernels.mean_sq_norm(state.Y)
         finite = math.isfinite(base_inv)
         self.gamma_cap = self.cap_factor * base_inv if finite else math.inf

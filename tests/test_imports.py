@@ -1,8 +1,9 @@
 """Package structure: every module imports at its top, the modules
 import one another without a cycle, one function builds every Philox
-generator and ``kernels.gram`` every Gram of ``models``, importing the
-package leaves the environment alone, and numpy is the one runtime
-dependency."""
+generator and ``kernels.gram`` every Gram of ``models``, ``integrators``
+leaves rank events to the policy and ``truncate`` forms no product,
+importing the package leaves the environment alone, and numpy is the
+one runtime dependency."""
 
 import ast
 import os
@@ -85,6 +86,18 @@ def test_one_philox_constructor_and_no_gram_outside_kernels_gram():
     # Every Gram models forms comes from kernels.gram.
     assert not [callee for _, callee in _calls(modules["models"])
                 if callee.split(".")[-1] == "mean_outer"]
+
+
+def test_integrators_leaves_rank_events_to_the_policy():
+    # The policy is integrate's one explosion rule: the driver never truncates.
+    assert not [callee for _, callee in _calls(_modules()["integrators"])
+                if callee.split(".")[-1] == "truncate"]
+
+
+def test_truncate_forms_no_product():
+    # truncate stays in coefficient space: no N x d ensemble X = Y U.
+    assert not [callee for where, callee in _calls(_modules()["rank_control"])
+                if where == "truncate" and callee.split(".")[-1] == "product"]
 
 
 _ENVIRON_AFTER_IMPORT = """

@@ -5,10 +5,11 @@ import functools
 import hashlib
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dosde import kernels, paths
@@ -35,6 +36,7 @@ from dosde.integrators import (
 from dosde.models import SdeModel, builtin, default_initial, whiten
 from dosde.diagnostics import l2_distance
 from dosde.picard import picard_local_solve
+from dosde.rank_control import RestartPolicy
 
 
 def _dense_b(model, X, t=0.0):
@@ -397,6 +399,59 @@ def test_integrate_without_policy_halts_at_singularity():
     assert traj.diag[-1].gram_inv_frobenius == math.inf
 
 
+def _run_bits(traj):
+    """Every recorded state, step report and rank event of a run, as bytes."""
+    states = [(np.float64(s.t).tobytes(), s.U.tobytes(), s.Y.tobytes()) for s in traj.states]
+    reports = [np.array(dataclasses.astuple(r)).tobytes() for r in traj.diag]
+    events = [tuple(np.asarray(v).tobytes() for v in dataclasses.astuple(e))
+              for e in traj.events]
+    return traj.completed, states, reports, events
+
+
+@st.composite
+def _policy_free_runs(draw):
+    """A builtin's ``do`` run; mode_crossing's runs a fifth past t*."""
+    name = draw(st.sampled_from(["ou", "additive_floor", "gbm_clipped", "mode_crossing"]))
+    d = draw(st.integers(2, 6))
+    N = draw(st.integers(8, 64))
+    seed = draw(st.integers(0, 2**16))
+    n = 5 * draw(st.integers(1, 12))
+    if name == "mode_crossing":
+        t_star = draw(st.sampled_from([0.25, 1.0]))
+        model, R, dt = builtin(name, t_star=t_star, d=d), 2, t_star / n
+    else:
+        model, R, dt = builtin(name, d=d), draw(st.integers(1, d)), 0.01
+    return model, default_initial(model, N, R, seed=seed), dt, n + n // 5, seed
+
+
+@settings(max_examples=30, deadline=None)
+@given(_policy_free_runs())
+@example((builtin("mode_crossing", t_star=1.0, d=4),
+          default_initial(builtin("mode_crossing", t_star=1.0, d=4), 64, 2, seed=0),
+          1e-3, 1200, 23))
+def test_a_do_run_without_policy_is_the_halting_restart_policy(case):
+    # Without a policy a ``do`` run is judged by
+    # RestartPolicy(n_max=0, cap_factor=inf, max_restarts=0): it halts at
+    # a non-finite inverse-Gram norm, records no crossing and never
+    # restarts.  The one case where that differs from halting at a
+    # singular Gram alone is an invertible Gram whose inverse norm
+    # overflows to inf, which needs an ensemble near 1e-154 in scale.
+    model, init, dt, n_steps, seed = case
+    path = paths.generate(seed, n_steps, dt, len(init.Y), model.m)
+    with mock.patch.object(kernels, "gram", wraps=kernels.gram) as gram:
+        bare = integrate(model, init, "do", n_steps * dt, dt, path)
+    # the datum's check, one Gram per step and one per event: attaching
+    # the default policy forms none
+    assert gram.call_count == 1 + len(bare.diag) + len(bare.events)
+    policy = RestartPolicy(model, n_max=0, cap_factor=math.inf, max_restarts=0)
+    judged = integrate(model, init, "do", n_steps * dt, dt, path, policy=policy)
+    assert _run_bits(bare) == _run_bits(judged)
+    assert policy.crossings == [] and policy.restarts == 0
+    if model.name == "mode_crossing":  # the singular halt at t*
+        assert not bare.completed and len(bare.events) == 1
+        assert bare.events[0].t_event == pytest.approx(model.horizon / 1.2, abs=1e-9)
+
+
 def _heat(d, nu=0.01, m=16):
     """A 1-D heat equation on d interior points of [0, 1] (Dirichlet
     Laplacian, h = 1/(d + 1)) with m sine noise modes of weight 1/k.
@@ -433,12 +488,13 @@ def test_a_do_basis_step_explicit_euler_cannot_resolve_ends_the_run(d, completed
     traj = integrate(_heat(d), _sine_datum(d), "do", 0.02, 1e-4, path)
     assert traj.completed is completed
     worst = max(r.ortho_defect for r in traj.diag)
+    # a guard stop is not an explosion: the Gram stays invertible, so no rank event
+    assert traj.events == []
     if completed:
-        assert traj.events == [] and worst < 1e-12
+        assert worst < 1e-12
     else:
-        assert len(traj.events) == 1 and worst > MAX_ORTHO_DEFECT
-        assert traj.events[0].t_event == traj.diag[-1].t < 0.02
-        assert traj.states[-1].t < traj.events[0].t_event  # the guarded state is not recorded
+        assert worst > MAX_ORTHO_DEFECT and traj.diag[-1].t < 0.02
+        assert traj.states[-1].t < traj.diag[-1].t  # the guarded state is not recorded
 
 
 @pytest.mark.parametrize("command", ["simulate", "explosion-study"])
@@ -449,8 +505,14 @@ def test_a_guarded_do_run_exits_3(command, tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("model.name = ou\nrun.dim = 800\nrun.rank = 4\nrun.n_atoms = 1024\n"
                    "run.dt = 1e-4\nrun.t_end = 0.02\nrun.seed = 7\n")
-    assert cli.main([command, str(cfg), "--out", str(tmp_path / "out")]) == 3
-    assert "numerical failure: do run stopped at t=" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert cli.main([command, str(cfg), "--out", str(out)]) == 3
+    assert "numerical failure: do run stopped at t=0.0081 before" in capsys.readouterr().err
+    # no explosion is recorded: the coefficients never became collinear
+    assert (out / "events.csv").read_text().splitlines() == [
+        "t,old_rank,new_rank,discarded_mass,inv_norm_at_event"]
+    if command == "explosion-study":
+        assert (out / "explosion.csv").read_text() == "exploded,T_e_estimate\n0,nan\n"
 
 
 # ---------------------------------------------------------------- properties

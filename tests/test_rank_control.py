@@ -1,6 +1,7 @@
 """Explosion surveillance, truncation/restart, and the noise floor."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,22 @@ def test_truncate_zero_state():
     assert event.new_rank == 0
 
 
+def test_truncate_forms_no_ensemble():
+    # Y' = X Q is taken as Y (U Q): the N x d product is never built.
+    N, d, R = 2048, 4096, 2
+    rng = np.random.default_rng(5)
+    U = np.linalg.qr(rng.standard_normal((d, R)))[0].T
+    state = DoState(t=0.5, U=U, Y=rng.standard_normal((N, R)))
+    tracemalloc.start()
+    try:
+        new_state, _ = truncate(state, max_rank=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert new_state.rank == 1
+    assert peak < N * d * 8 / 8
+
+
 @st.composite
 def _planted_states(draw):
     d = draw(st.integers(1, 8))
@@ -178,7 +195,7 @@ def _direct_truncate(state, sv_tolerance, max_rank=None):
     if keep == 0:
         return None, event
     Q = kernels.fix_signs(state.U.T @ V[:, :keep])
-    return DoState(t=state.t, U=Q.T.copy(), Y=state.product() @ Q), event
+    return DoState(t=state.t, U=Q.T.copy(), Y=state.Y @ (state.U @ Q)), event
 
 
 @given(
